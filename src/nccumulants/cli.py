@@ -172,19 +172,23 @@ def _cmd_convert(args, out):
         raise ValueError(
             f"input envelope is tagged {family.kind!r}, not {args.from_kind!r}"
         )
+    rows = []
+    if args.show_order is not None:
+        # checked before anything is written, so a refused request leaves
+        # no output file behind
+        m = args.show_order
+        if m < 1 or m > family.data.max_order:
+            raise ValueError("--show-order must be between 1 and max_order")
+        rows = cumulants.expansion_terms(args.from_kind, args.to_kind, m)
     result = cumulants.convert(family, args.to_kind)
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(result.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if args.show_order is not None:
-        m = args.show_order
-        if m < 1 or m > family.data.max_order:
-            raise ValueError("--show-order must be between 1 and max_order")
-        for p, coeff in cumulants.expansion_terms(args.from_kind, args.to_kind, m):
-            print(
-                json.dumps({"partition": p.text(), "coefficient": str(coeff)}),
-                file=out,
-            )
+    for p, coeff in rows:
+        print(
+            json.dumps({"partition": p.text(), "coefficient": str(coeff)}),
+            file=out,
+        )
     return 0
 
 

@@ -9,18 +9,20 @@ and the moment-to-cumulant directions invert those sums by recursion on
 word length, which is always solvable because the one-block term is the
 only one touching the full word.
 
-Per-length partition data (index blocks, tree factorial, omega) is computed
-once and cached; the caches are thread-safe and all functions are pure.
+One cached table per length holds each partition's blocks, block count,
+forest factorial, interval flag and omega; one map gives each direction's
+coefficient as a function of those, evaluated once per direction and
+length; one loop sums the block products.  The caches are thread-safe and
+all functions are pure.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from . import partitions, prelie, trees
+from . import partitions, trees
 from .prelie import Functional
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 KINDS = ("moment", "free", "boolean", "monotone")
 CUMULANT_KINDS = ("free", "boolean", "monotone")
@@ -64,28 +66,16 @@ class CumulantFamily:
 
 
 @lru_cache(maxsize=None)
-def _irr_terms(n):
-    # per irreducible partition of [n]: 0-based index blocks, block count,
-    # nesting-tree factorial, omega of the nesting tree
-    terms = []
-    for p in partitions.enumerate_nc_irr(n):
-        tree = partitions.nesting_forest(p).trees[0]
-        idx = tuple(tuple(i - 1 for i in b) for b in p.blocks)
-        terms.append((idx, len(idx), trees.tree_factorial(tree), trees.omega(tree)))
-    return tuple(terms)
-
-
-@lru_cache(maxsize=None)
 def _nc_terms(n):
-    # per partition of [n]: 0-based index blocks, block count,
-    # forest factorial of the nesting forest, interval flag.  The factorial
+    # one row per partition of [n], in enumerate_nc order: 1-based blocks,
+    # block count, forest factorial of the nesting forest, interval flag,
+    # and omega of the nesting tree (None unless irreducible).  The factorial
     # is the product of the nesting-subtree sizes, taken straight off the
     # parent array; children follow their parents in canonical block order,
     # so one reverse sweep accumulates the sizes.
-    terms = []
+    rows = []
     for p in partitions.enumerate_nc(n):
         blocks = p.blocks
-        idx = tuple(tuple(i - 1 for i in b) for b in blocks)
         parents = partitions._parents(p)
         sizes = [1] * len(parents)
         for j in range(len(parents) - 1, -1, -1):
@@ -95,13 +85,58 @@ def _nc_terms(n):
         for s in sizes:
             ffact *= s
         interval = all(b[-1] - b[0] == len(b) - 1 for b in blocks)
-        terms.append((idx, len(idx), ffact, interval))
-    return tuple(terms)
+        om = None
+        if p.is_irreducible():
+            om = trees.omega(partitions.nesting_forest(p).trees[0])
+        rows.append((blocks, len(blocks), ffact, interval, om))
+    return tuple(rows)
 
 
-def _block_product(table, w, idx_blocks, start):
+# The coefficient of a partition in each closed sum, from its block count,
+# forest factorial, interval flag and omega.  The six cumulant-to-cumulant
+# sums run over irreducible partitions only; the sums into moments run over
+# all of them.
+_COEFF = {
+    ("free", "boolean"): lambda nb, ff, iv, om: 1,
+    ("boolean", "free"): lambda nb, ff, iv, om: (-1) ** (nb - 1),
+    ("monotone", "free"): lambda nb, ff, iv, om: Fraction((-1) ** (nb - 1), ff),
+    ("monotone", "boolean"): lambda nb, ff, iv, om: Fraction(1, ff),
+    ("free", "monotone"): lambda nb, ff, iv, om: (-1) ** (nb - 1) * om,
+    ("boolean", "monotone"): lambda nb, ff, iv, om: om,
+    ("free", "moment"): lambda nb, ff, iv, om: 1,
+    ("boolean", "moment"): lambda nb, ff, iv, om: 1 if iv else 0,
+    ("monotone", "moment"): lambda nb, ff, iv, om: Fraction(1, ff),
+}
+
+
+def _rows(direction, n):
+    # (blocks, coefficient) for every partition in the order-n sum of
+    # `direction`; rows with equal inputs share one Fraction
+    coeff = _COEFF[direction]
+    irreducible_only = direction[1] != "moment"
+    shared = {}
+    for row in _nc_terms(n):
+        if irreducible_only and row[4] is None:
+            continue
+        key = row[1:]
+        c = shared.get(key)
+        if c is None:
+            c = shared[key] = Fraction(coeff(*key))
+        yield row[0], c
+
+
+@lru_cache(maxsize=None)
+def _terms(direction, n):
+    # the rows with a nonzero coefficient, once per direction and order, as
+    # a tuple of blocks and a parallel tuple of coefficients, which take
+    # less memory than one pair per row
+    blocks, coeffs = zip(*(row for row in _rows(direction, n) if row[1]))
+    return blocks, coeffs
+
+
+def _block_product(table, w, blocks, start):
     prod = start
-    for b in idx_blocks:
+    for b in blocks:
         v = table[tuple(w[i] for i in b)]
         if not v:
             return None
@@ -109,46 +144,50 @@ def _block_product(table, w, idx_blocks, start):
     return prod
 
 
-def _irr_sum(src, coeff):
-    # out(w) = sum over irreducible partitions of coeff(pi) * prod src(block)
-    table = {}
+def _partition_sum(src, direction, invert=False):
+    # out(w) = sum over the order-|w| rows of coefficient * prod src(block).
+    # With invert, solve src = that sum of out for out instead: the one-block
+    # row has coefficient 1 in every direction into moments and is the only
+    # row reading the full word, so out(w) is src(w) minus the other rows,
+    # which read only shorter words, solved already.  out(w) is 0 while they
+    # are summed, so the one-block row drops out as a zero product.
     st = src._table
-    for w in src.words():
-        total = _ZERO
-        for idx_blocks, nb, tfact, om in _irr_terms(len(w)):
-            c = coeff(nb, tfact, om)
-            if not c:
-                continue
-            prod = _block_product(st, w, idx_blocks, c)
-            if prod is not None:
-                total += prod
-        table[w] = total
-    return Functional._from_table(src.alphabet, src.max_order, table)
+    out = {}
+    read = out if invert else st
+    for m in range(1, src.max_order + 1):
+        all_blocks, coeffs = _terms(direction, m)
+        for w in src.words_of_length(m):
+            padded = (None,) + w  # a dummy letter at 0: 1-based blocks index it
+            out[w] = total = _ZERO
+            for blocks, c in zip(all_blocks, coeffs):
+                prod = _block_product(read, padded, blocks, c)
+                if prod is not None:
+                    total += prod
+            out[w] = st[w] - total if invert else total
+    return Functional._from_table(src.alphabet, src.max_order, out)
 
 
 def boolean_from_free(kappa):
     """Boolean cumulants from free ones: the plain sum over irreducible
     non-crossing partitions of the block products."""
-    return _irr_sum(kappa, lambda nb, tfact, om: _ONE)
+    return _partition_sum(kappa, ("free", "boolean"))
 
 
 def free_from_boolean(beta):
     """Free cumulants from Boolean ones: signed by (-1)^(blocks-1)."""
-    return _irr_sum(beta, lambda nb, tfact, om: _ONE if nb % 2 else -_ONE)
+    return _partition_sum(beta, ("boolean", "free"))
 
 
 def free_from_monotone(rho):
     """Free cumulants from monotone ones: signed and divided by the
     nesting-tree factorial."""
-    return _irr_sum(
-        rho, lambda nb, tfact, om: Fraction(1 if nb % 2 else -1, tfact)
-    )
+    return _partition_sum(rho, ("monotone", "free"))
 
 
 def boolean_from_monotone(rho):
     """Boolean cumulants from monotone ones: divided by the nesting-tree
     factorial, all signs positive."""
-    return _irr_sum(rho, lambda nb, tfact, om: Fraction(1, tfact))
+    return _partition_sum(rho, ("monotone", "boolean"))
 
 
 def monotone_from_free(kappa):
@@ -157,7 +196,7 @@ def monotone_from_free(kappa):
 
     Agrees word-by-word with ``prelie.magnus``.
     """
-    return _irr_sum(kappa, lambda nb, tfact, om: om if nb % 2 else -om)
+    return _partition_sum(kappa, ("free", "monotone"))
 
 
 def monotone_from_boolean(beta):
@@ -168,7 +207,7 @@ def monotone_from_boolean(beta):
     the sign of the input and the output; it equals the negated fixed-point
     expansion of the negated input, which the test suite checks directly.
     """
-    return _irr_sum(beta, lambda nb, tfact, om: om)
+    return _partition_sum(beta, ("boolean", "monotone"))
 
 
 def _require_cumulant_kind(kind):
@@ -186,21 +225,7 @@ def moments_from(kind, c):
     Monotone: the full sum weighted by 1 over the nesting-forest factorial.
     """
     _require_cumulant_kind(kind)
-    table = {}
-    st = c._table
-    boolean = kind == "boolean"
-    monotone = kind == "monotone"
-    for w in c.words():
-        total = _ZERO
-        for idx_blocks, nb, ffact, is_int in _nc_terms(len(w)):
-            if boolean and not is_int:
-                continue
-            start = Fraction(1, ffact) if monotone else _ONE
-            prod = _block_product(st, w, idx_blocks, start)
-            if prod is not None:
-                total += prod
-        table[w] = total
-    return Functional._from_table(c.alphabet, c.max_order, table)
+    return _partition_sum(c, (kind, "moment"))
 
 
 def cumulants_from_moments(kind, phi):
@@ -211,37 +236,14 @@ def cumulants_from_moments(kind, phi):
     shorter subwords already determined.
     """
     _require_cumulant_kind(kind)
-    boolean = kind == "boolean"
-    monotone = kind == "monotone"
-    out = {}
-    for w in phi.words():
-        acc = phi._table[w]
-        for idx_blocks, nb, ffact, is_int in _nc_terms(len(w)):
-            if nb == 1 or (boolean and not is_int):
-                continue
-            start = Fraction(1, ffact) if monotone else _ONE
-            prod = _block_product(out, w, idx_blocks, start)
-            if prod is not None:
-                acc -= prod
-        out[w] = acc
-    return Functional._from_table(phi.alphabet, phi.max_order, out)
-
-
-_DIRECT = {
-    ("free", "boolean"): boolean_from_free,
-    ("boolean", "free"): free_from_boolean,
-    ("monotone", "free"): free_from_monotone,
-    ("monotone", "boolean"): boolean_from_monotone,
-    ("free", "monotone"): monotone_from_free,
-    ("boolean", "monotone"): monotone_from_boolean,
-}
+    return _partition_sum(phi, (kind, "moment"), invert=True)
 
 
 def convert(family, to_kind):
     """Convert a tagged family to any of the four kinds.
 
-    Identity when the kinds coincide; otherwise routed through the direct
-    partition sums or the moment relations.
+    Identity when the kinds coincide; otherwise the closed partition sum of
+    the direction, or its inversion for moment-to-cumulant directions.
     """
     if to_kind not in KINDS:
         raise ValueError(f"unknown kind {to_kind!r}; expected one of {KINDS}")
@@ -249,10 +251,8 @@ def convert(family, to_kind):
         return family
     if family.kind == "moment":
         data = cumulants_from_moments(to_kind, family.data)
-    elif to_kind == "moment":
-        data = moments_from(family.kind, family.data)
     else:
-        data = _DIRECT[(family.kind, to_kind)](family.data)
+        data = _partition_sum(family.data, (family.kind, to_kind))
     return CumulantFamily(to_kind, data)
 
 
@@ -265,64 +265,16 @@ def expansion_terms(from_kind, to_kind, n):
     """
     if from_kind == to_kind:
         raise ValueError("identity conversion has no expansion")
-    if to_kind == "moment":
-        _require_cumulant_kind(from_kind)
-        rows = []
-        for p in partitions.enumerate_nc(n):
-            if from_kind == "boolean":
-                coeff = _ONE if partitions.is_interval(p) else _ZERO
-            elif from_kind == "monotone":
-                ffact = trees.forest_factorial(partitions.nesting_forest(p))
-                coeff = Fraction(1, ffact)
-            else:
-                coeff = _ONE
-            rows.append((p, coeff))
-        return rows
     if from_kind == "moment":
         raise ValueError(
             "moment-to-cumulant conversions are recursive inversions with no"
             " closed order-n expansion"
         )
-    _require_cumulant_kind(from_kind)
-    _require_cumulant_kind(to_kind)
-    coeff_fn = {
-        ("free", "boolean"): lambda nb, tfact, om: _ONE,
-        ("boolean", "free"): lambda nb, tfact, om: _ONE if nb % 2 else -_ONE,
-        ("monotone", "free"): lambda nb, tfact, om: Fraction(
-            1 if nb % 2 else -1, tfact
-        ),
-        ("monotone", "boolean"): lambda nb, tfact, om: Fraction(1, tfact),
-        ("free", "monotone"): lambda nb, tfact, om: om if nb % 2 else -om,
-        ("boolean", "monotone"): lambda nb, tfact, om: om,
-    }[(from_kind, to_kind)]
-    rows = []
-    for p in partitions.enumerate_nc_irr(n):
-        tree = partitions.nesting_forest(p).trees[0]
-        rows.append(
-            (p, coeff_fn(p.num_blocks, trees.tree_factorial(tree), trees.omega(tree)))
+    if (from_kind, to_kind) not in _COEFF:
+        raise ValueError(
+            f"unknown conversion {from_kind!r} -> {to_kind!r}; kinds are {KINDS}"
         )
-    return rows
-
-
-def magnus_monotone_from_free(kappa):
-    """Monotone cumulants via the fixed-point expansion; the dual route to
-    ``monotone_from_free`` used for cross-validation."""
-    return prelie.magnus(kappa)
-
-
-def magnus_monotone_from_boolean(beta):
-    """Monotone cumulants as the negated fixed-point expansion of the negated
-    Boolean cumulants; the dual route to ``monotone_from_boolean``."""
-    return prelie.magnus(beta.negate()).negate()
-
-
-def magnus_free_from_monotone(rho):
-    """Free cumulants as the inverse expansion of the monotone ones; the dual
-    route to ``free_from_monotone``."""
-    return prelie.magnus_inverse(rho)
-
-
-def magnus_boolean_from_monotone(rho):
-    """Boolean cumulants as the negated inverse expansion of the negated
-    monotone ones; the dual route to ``boolean_from_monotone``."""
-    return prelie.magnus_inverse(rho.negate()).negate()
+    return [
+        (partitions.NCPartition._wrap(blocks), c)
+        for blocks, c in _rows((from_kind, to_kind), n)
+    ]

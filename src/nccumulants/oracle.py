@@ -2,9 +2,11 @@
 
 Everything here trades speed for independence: set partitions are generated
 exhaustively and filtered by the literal four-point crossing condition,
-labelings and quasi-order counts are enumerated one by one, and the closed
-partition-sum conversions are compared word-by-word against the fixed-point
-expansions.  Hard size guards refuse inputs where exhaustion would crawl.
+labelings and quasi-order counts are enumerated one by one, ``omega`` is
+recomputed by a Bernoulli-number recursion over block subsets, and the
+closed partition-sum conversions are compared word-by-word against the
+fixed-point expansions.  Hard size guards refuse inputs where exhaustion
+would crawl.
 
 Checks return report dicts {"check": name, "status": "pass"|"fail"} with a
 "counterexample" entry on failure; they never raise on a mismatch.
@@ -12,10 +14,11 @@ Checks return report dicts {"check": name, "status": "pass"|"fail"} with a
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb
 
-from . import cumulants, prelie, trees
+from . import cumulants, partitions, prelie, trees
 from .partitions import NCPartition
 from .prelie import Functional
 
@@ -148,6 +151,42 @@ def brute_monotone_orders(p):
         if all(labels[i] < labels[j] for i, j in nested_pairs):
             count += 1
     return count
+
+
+def omega_recursive(p):
+    """Recompute omega for an irreducible partition from its block structure.
+
+    Drops the outer block and sums, over every subset V of the remaining
+    blocks that contains all of their outermost ones, the Bernoulli number
+    B_|V| divided by the forest factorial of the partition V spans, times
+    the product of the values on the V-rooted components.  Grounds out at 1
+    on a single block.  Must agree with ``trees.omega`` of the nesting tree.
+    """
+    if not p.is_irreducible():
+        raise ValueError("omega_recursive requires an irreducible partition")
+    return _omega_rec(_standard_key(p))
+
+
+@lru_cache(maxsize=None)
+def _omega_rec(blocks):
+    # `blocks` is a partition relabeled onto {1..n}; omega depends only on
+    # the relative order of the labels
+    inner = NCPartition(blocks[1:])
+    total = Fraction(0)
+    for subset in partitions.sub_families(inner):
+        nu, comps = partitions.v_components(subset)
+        term = trees.bernoulli(len(subset.selected)) / trees.forest_factorial(
+            partitions.nesting_forest(nu)
+        )
+        for comp in comps:
+            term *= _omega_rec(_standard_key(comp))
+        total += term
+    return total
+
+
+def _standard_key(p):
+    rank = {x: i + 1 for i, x in enumerate(p.ground)}
+    return tuple(tuple(rank[x] for x in b) for b in p.blocks)
 
 
 def random_functional(alphabet, max_order, seed):
@@ -355,8 +394,6 @@ def suite_roundtrips(seed=42, max_order=6):
 def suite_counts(seed=42, max_order=6):
     """Catalan counts, labeling counts against exhaustive oracles, and the
     monotone enumeration total."""
-    from . import partitions
-
     reports = []
 
     bad = None

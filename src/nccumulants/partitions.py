@@ -12,6 +12,7 @@ so concurrent use needs no locking.
 """
 
 import os
+import re
 from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations, product
@@ -131,18 +132,27 @@ def _blocks_text(blocks):
 
 
 def _blocks_from_text(s):
-    t = "".join(s.split())
-    if t == "{}":
-        return ()
-    if not (t.startswith("{{") and t.endswith("}}")):
-        raise ValueError(f"malformed partition text: {s!r}")
-    body = t[1:-1]
-    blocks = []
-    for part in body.split("},{"):
-        part = part.strip("{}")
-        if not part:
+    # "{" [block ("," block)*] "}", where block is "{" int ("," int)* "}"
+    tokens = iter(re.findall(r"\d+|\S", s))
+
+    def take(*allowed):
+        tok = next(tokens, "")
+        if tok not in allowed and not ("int" in allowed and tok.isdigit()):
             raise ValueError(f"malformed partition text: {s!r}")
-        blocks.append(tuple(int(x) for x in part.split(",")))
+        return tok
+
+    take("{")
+    blocks = []
+    if take("{", "}") == "{":
+        while True:
+            block = [int(take("int"))]
+            while take(",", "}") == ",":
+                block.append(int(take("int")))
+            blocks.append(tuple(block))
+            if take(",", "}") == "}":
+                break
+            take("{")
+    take("")
     return tuple(blocks)
 
 

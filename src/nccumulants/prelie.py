@@ -15,6 +15,7 @@ within ``magnus`` the strata are sequentially dependent by word length but
 callers observe a pure function.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -64,7 +65,7 @@ class Functional:
         for a in alphabet:
             if not isinstance(a, str) or not a or "," in a:
                 raise ValueError(f"invalid letter {a!r}")
-        if not isinstance(max_order, int) or max_order < 1:
+        if isinstance(max_order, bool) or not isinstance(max_order, int) or max_order < 1:
             raise ValueError("max_order must be a positive integer")
         table = {w: _ZERO for w in all_words(alphabet, max_order)}
         object.__setattr__(self, "alphabet", alphabet)
@@ -132,10 +133,6 @@ class Functional:
     def is_zero(self):
         return all(not v for v in self._table.values())
 
-    def support(self):
-        """The words carrying a nonzero value, shortest first."""
-        return [w for w in self.words() if self._table[w]]
-
     def to_json(self):
         """JSON form with "p/q" value strings; zero entries are omitted."""
         return {
@@ -155,7 +152,11 @@ class Functional:
             raw = obj.get("values", {})
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed functional object: {exc}") from None
-        values = {word_from_text(k): Fraction(v) for k, v in raw.items()}
+        if not isinstance(alphabet, list):
+            raise ValueError(f"alphabet must be a list of letters, got {alphabet!r}")
+        if not isinstance(raw, dict):
+            raise ValueError("values must be an object mapping words to values")
+        values = {word_from_text(k): _value_from_json(v) for k, v in raw.items()}
         return cls(alphabet, max_order, values)
 
     def __eq__(self, other):
@@ -172,6 +173,22 @@ class Functional:
             f"Functional(alphabet={self.alphabet!r}, max_order={self.max_order},"
             f" nonzero={nonzero})"
         )
+
+
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
+
+
+def _value_from_json(v):
+    # only integers and "p/q" strings are exact; a JSON float or a bool is not
+    # a rational value and is refused rather than converted
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    if isinstance(v, str) and _RATIONAL_TEXT.fullmatch(v):
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"value {v!r} has a zero denominator") from None
+    raise ValueError(f'value {v!r} is neither an integer nor a "p/q" string')
 
 
 def _require_same_space(a, b):
@@ -343,17 +360,25 @@ def magnus(kappa):
     return Functional._from_table(kappa.alphabet, kappa.max_order, theta)
 
 
+def _left_series(left, kappa, coeff):
+    # kappa plus coeff(n) times the n-fold left product of `left` on kappa,
+    # summed until the effective degree n + 1 exceeds max_order
+    acc = dict(kappa._table)
+    cur = kappa
+    for n in range(1, max(0, kappa.max_order - 1)):
+        cur = prelie_product(left, cur)
+        c = coeff(n)
+        for w, v in cur._table.items():
+            if v:
+                acc[w] += c * v
+    return Functional._from_table(kappa.alphabet, kappa.max_order, acc)
+
+
 def magnus_inverse(kappa):
     """Compositional inverse of ``magnus``: kappa plus the 1/(n+1)!-weighted
     iterated left products of kappa on itself, truncated exactly by the
     effective degree."""
-    n_max = kappa.max_order
-    acc = kappa
-    cur = kappa
-    for n in range(1, max(0, n_max - 1)):
-        cur = prelie_product(kappa, cur)
-        acc = acc.add(cur.scale(Fraction(1, factorial(n + 1))))
-    return acc
+    return _left_series(kappa, kappa, lambda n: Fraction(1, factorial(n + 1)))
 
 
 def exp_left(theta, kappa, sign=1):
@@ -365,9 +390,4 @@ def exp_left(theta, kappa, sign=1):
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _require_same_space(theta, kappa)
-    acc = kappa
-    cur = kappa
-    for n in range(1, max(0, kappa.max_order - 1)):
-        cur = prelie_product(theta, cur)
-        acc = acc.add(cur.scale(Fraction(sign ** n, factorial(n))))
-    return acc
+    return _left_series(theta, kappa, lambda n: Fraction(sign ** n, factorial(n)))

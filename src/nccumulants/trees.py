@@ -6,9 +6,9 @@ provides the bracket-text codec, tree and forest factorials, leaf removals,
 linear-extension counts, the rank-k strict labeling counts ``omega_k``, and
 the rational coefficient ``omega`` obtained from them by an alternating sum.
 ``omega`` is the weight attached to each irreducible partition in the closed
-monotone-from-free cumulant conversion; ``omega_recursive`` recomputes it
-through a Bernoulli-number recursion over block subsets and serves as an
-independent cross-check.
+monotone-from-free cumulant conversion; ``oracle.omega_recursive``
+recomputes it through a Bernoulli-number recursion over block subsets and
+serves as an independent cross-check.
 
 All coefficients are exact ``fractions.Fraction`` values; no floating point
 is used anywhere.  Trees and forests are immutable, every function is pure,
@@ -17,7 +17,7 @@ and the memo caches are the thread-safe ``functools.lru_cache``.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 
 class TreeParseError(ValueError):
@@ -253,55 +253,8 @@ def bernoulli(n):
         return Fraction(0)
     acc = Fraction(0)
     for k in range(n):
-        acc += _binom(n + 1, k) * bernoulli(k)
+        acc += comb(n + 1, k) * bernoulli(k)
     return -acc / (n + 1)
-
-
-def _binom(n, k):
-    return factorial(n) // (factorial(k) * factorial(n - k))
-
-
-_OMEGA_REC_CACHE = {}
-
-
-def omega_recursive(p):
-    """Recompute omega for an irreducible partition from its block structure.
-
-    Drops the outer block and sums, over every subset V of the remaining
-    blocks that contains all of their outermost ones, the Bernoulli number
-    B_|V| divided by the forest factorial of the partition V spans, times
-    the product of the values on the V-rooted components.  Grounds out at 1
-    on a single block.  Must agree with ``omega`` of the nesting tree.
-    """
-    from . import partitions as _partitions
-
-    if not p.is_irreducible():
-        raise ValueError("omega_recursive requires an irreducible partition")
-    return _omega_rec(p, _partitions)
-
-
-def _omega_rec(p, _partitions):
-    key = _standard_key(p)
-    hit = _OMEGA_REC_CACHE.get(key)
-    if hit is not None:
-        return hit
-    inner = _partitions.NCPartition(p.blocks[1:])
-    total = Fraction(0)
-    for subset in _partitions.sub_families(inner):
-        nu, comps = _partitions.v_components(subset)
-        term = bernoulli(len(subset.selected)) / forest_factorial(
-            _partitions.nesting_forest(nu)
-        )
-        for comp in comps:
-            term *= _omega_rec(comp, _partitions)
-        total += term
-    _OMEGA_REC_CACHE[key] = total
-    return total
-
-
-def _standard_key(p):
-    rank = {x: i for i, x in enumerate(p.ground)}
-    return tuple(tuple(rank[x] for x in b) for b in p.blocks)
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,14 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from nccumulants.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *args):
@@ -87,6 +93,10 @@ class TestOmega:
     def test_parse_error(self, capsys):
         code, _, err = run_cli(capsys, "omega", "--tree", "[[")
         assert code == 2 and "error:" in err
+
+    def test_malformed_partition(self, capsys):
+        code, out, err = run_cli(capsys, "omega", "--partition", "{{1},{2}}}")
+        assert code == 2 and out == "" and "malformed partition" in err
 
 
 class TestTree:
@@ -226,6 +236,34 @@ class TestConvert:
         )
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "from_kind, to_kind, order",
+        [("moment", "free", "3"), ("free", "free", "3"), ("free", "monotone", "5")],
+    )
+    def test_show_order_refused_before_output(
+        self, capsys, tmp_path, pair_envelope, from_kind, to_kind, order
+    ):
+        envelope = json.loads(pair_envelope.read_text())
+        envelope["kind"] = from_kind
+        pair_envelope.write_text(json.dumps(envelope))
+        out_path = tmp_path / "out.json"
+        code, _, err = run_cli(
+            capsys,
+            "convert",
+            "--from",
+            from_kind,
+            "--to",
+            to_kind,
+            "--input",
+            str(pair_envelope),
+            "--output",
+            str(out_path),
+            "--show-order",
+            order,
+        )
+        assert code == 2 and "error:" in err
+        assert not out_path.exists()
+
     def test_kind_mismatch(self, capsys, tmp_path, pair_envelope):
         out_path = tmp_path / "out.json"
         code, _, err = run_cli(
@@ -273,6 +311,66 @@ class TestConvert:
             str(tmp_path / "out.json"),
         )
         assert code == 2
+
+
+class TestHostileEnvelope:
+    # each envelope is refused by the real command with exit 2 and one line
+    # on stderr, not with a traceback
+    @pytest.mark.parametrize(
+        "functional",
+        [
+            {"alphabet": ["a"], "max_order": 2, "values": {"a": "1/0"}},
+            {"alphabet": ["a"], "max_order": 2, "values": {"a": [1]}},
+            {"alphabet": ["a"], "max_order": 2, "values": [1]},
+            {"alphabet": ["a"], "max_order": 2, "values": {"a": 0.1}},
+            {"alphabet": ["a"], "max_order": 2, "values": {"a": True}},
+            {"alphabet": ["a"], "max_order": True},
+            {"alphabet": "ab", "max_order": 2},
+            [1],
+        ],
+        ids=[
+            "zero-denominator",
+            "list-value",
+            "list-values",
+            "float-value",
+            "bool-value",
+            "bool-max-order",
+            "string-alphabet",
+            "list-functional",
+        ],
+    )
+    def test_refused(self, tmp_path, functional):
+        in_path = tmp_path / "in.json"
+        out_path = tmp_path / "out.json"
+        in_path.write_text(json.dumps({"kind": "free", "functional": functional}))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "nccumulants.cli",
+                "convert",
+                "--from",
+                "free",
+                "--to",
+                "moment",
+                "--input",
+                str(in_path),
+                "--output",
+                str(out_path),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert not out_path.exists()
 
 
 class TestVerify:

@@ -84,7 +84,20 @@ class TestTextJson:
         assert p.to_json() == [[1, 3], [2]]
         assert NCPartition.from_json(p.to_json()) == p
 
-    @pytest.mark.parametrize("bad", ["", "{", "{{}}", "{{1,},{2}}", "1,2", "{{a}}"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "",
+            "{",
+            "{{}}",
+            "{{1,},{2}}",
+            "1,2",
+            "{{a}}",
+            "{{1},{2}}}",
+            "{{{1},{2}}",
+            "{{1}},{{2}}",
+        ],
+    )
     def test_malformed_text(self, bad):
         with pytest.raises(ValueError):
             NCPartition.from_text(bad)

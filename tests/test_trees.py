@@ -16,12 +16,12 @@ from nccumulants.trees import (
     omega,
     omega_forest,
     omega_k,
-    omega_recursive,
     parse_tree,
     tree_factorial,
     trees_of_size,
     trees_up_to,
 )
+from nccumulants.oracle import omega_recursive
 from nccumulants.partitions import NCPartition
 
 
