@@ -12,17 +12,22 @@ only one touching the full word.
 One cached table per length holds each partition's blocks, block count,
 forest factorial, interval flag and omega; one map gives each direction's
 coefficient as a function of those, evaluated once per direction and
-length; one loop sums the block products.  The caches are thread-safe and
-all functions are pure.
+length; one loop sums the block products.
+
+That loop runs on integers.  Each direction's order-n coefficients are
+numerators over one common denominator, grouped by the sorted block sizes
+of their partitions; the values read at each length are numerators over
+that length's common denominator.  A word's sum is then an integer over a
+denominator fixed per length, and each output word builds one Fraction.
+The caches are thread-safe and all functions are pure.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 
 from . import partitions, trees
 from .prelie import Functional
-
-_ZERO = Fraction(0)
 
 KINDS = ("moment", "free", "boolean", "monotone")
 CUMULANT_KINDS = ("free", "boolean", "monotone")
@@ -128,20 +133,49 @@ def _rows(direction, n):
 @lru_cache(maxsize=None)
 def _terms(direction, n):
     # the rows with a nonzero coefficient, once per direction and order, as
-    # a tuple of blocks and a parallel tuple of coefficients, which take
-    # less memory than one pair per row
-    blocks, coeffs = zip(*(row for row in _rows(direction, n) if row[1]))
-    return blocks, coeffs
+    # (den, shapes): den is the common denominator of the coefficients, and
+    # each shape (the sorted block sizes of a row) holds its rows as a tuple
+    # of blocks and a parallel tuple of integer numerators over den.  Rows
+    # with equal coefficients share one numerator.
+    groups = {}
+    for blocks, c in _rows(direction, n):
+        if c:
+            shape = tuple(sorted(map(len, blocks)))
+            group = groups.get(shape)
+            if group is None:
+                group = groups[shape] = ([], [])
+            group[0].append(blocks)
+            group[1].append(c)
+    # `_rows` shares one Fraction per distinct coefficient, so identity
+    # finds the distinct ones without hashing a Fraction per row
+    coeffs = {id(c): c for _, cs in groups.values() for c in cs}
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    nums = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
+    shapes = tuple(
+        (shape, tuple(blocks), tuple(nums[id(c)] for c in cs))
+        for shape, (blocks, cs) in groups.items()
+    )
+    return den, shapes
 
 
 def _block_product(table, w, blocks, start):
-    prod = start
+    product = start
     for b in blocks:
         v = table[tuple(w[i] for i in b)]
         if not v:
             return None
-        prod *= v
-    return prod
+        product *= v
+    return product
+
+
+def _numerators(table, words, num):
+    # store the values of `table` on `words`, all of one length, in `num` as
+    # integers over their least common denominator, and return that
+    d = lcm(*(table[w].denominator for w in words))
+    for w in words:
+        v = table[w]
+        num[w] = v.numerator * (d // v.denominator)
+    return d
 
 
 def _partition_sum(src, direction, invert=False):
@@ -149,21 +183,52 @@ def _partition_sum(src, direction, invert=False):
     # With invert, solve src = that sum of out for out instead: the one-block
     # row has coefficient 1 in every direction into moments and is the only
     # row reading the full word, so out(w) is src(w) minus the other rows,
-    # which read only shorter words, solved already.  out(w) is 0 while they
-    # are summed, so the one-block row drops out as a zero product.
+    # which read only shorter words, solved already.  out(w) reads as 0 while
+    # they are summed, so the one-block row drops out as a zero product.
+    #
+    # The sum runs on integers.  The values read at length k (the input, or
+    # the outputs solved so far) are numerators over dens[k]; a row of shape
+    # (k1, k2, ...) is then a numerator over den * dens[k1] * dens[k2] * ...,
+    # so each shape's integer sum is brought to the lcm `big` of those
+    # products by one factor, and each word builds one Fraction.
     st = src._table
     out = {}
-    read = out if invert else st
+    num = {}
+    dens = [1]
     for m in range(1, src.max_order + 1):
-        all_blocks, coeffs = _terms(direction, m)
-        for w in src.words_of_length(m):
+        words = list(src.words_of_length(m))
+        if invert:
+            dens.append(1)
+            num.update(dict.fromkeys(words, 0))
+        else:
+            dens.append(_numerators(st, words, num))
+        den, shapes = _terms(direction, m)
+        products = [prod(dens[k] for k in shape) for shape, _, _ in shapes]
+        big = lcm(*products)
+        shapes = [
+            (all_blocks, nums, big // p)
+            for (_, all_blocks, nums), p in zip(shapes, products)
+        ]
+        out_den = den * big
+        for w in words:
             padded = (None,) + w  # a dummy letter at 0: 1-based blocks index it
-            out[w] = total = _ZERO
-            for blocks, c in zip(all_blocks, coeffs):
-                prod = _block_product(read, padded, blocks, c)
-                if prod is not None:
-                    total += prod
-            out[w] = st[w] - total if invert else total
+            total = 0
+            for all_blocks, nums, factor in shapes:
+                part = 0
+                for blocks, c in zip(all_blocks, nums):
+                    term = _block_product(num, padded, blocks, c)
+                    if term is not None:
+                        part += term
+                total += part * factor
+            if invert:
+                v = st[w]
+                out[w] = Fraction(
+                    v.numerator * out_den - total * v.denominator, v.denominator * out_den
+                )
+            else:
+                out[w] = Fraction(total, out_den)
+        if invert:
+            dens[m] = _numerators(out, words, num)
     return Functional._from_table(src.alphabet, src.max_order, out)
 
 

@@ -53,7 +53,9 @@ class Functional:
     """A linear form on words of length <= max_order, stored as a dense table.
 
     Absent entries do not exist: the table is total, and equality compares
-    total tables.  Values are exact rationals.
+    total tables.  Values are exact rationals: anything ``Fraction`` reads
+    exactly (ints, Fractions, "p/q" strings); a float or a bool raises
+    ``ValueError``, here and in ``map_values`` and ``scale``.
     """
 
     __slots__ = ("alphabet", "max_order", "_table")
@@ -76,7 +78,7 @@ class Functional:
                 w = tuple(w)
                 if w not in table:
                     raise ValueError(f"word {w!r} is not in the table's domain")
-                table[w] = Fraction(v)
+                table[w] = _exact(v)
 
     @classmethod
     def _from_table(cls, alphabet, max_order, table):
@@ -107,7 +109,7 @@ class Functional:
         return _cartesian(self.alphabet, repeat=m)
 
     def map_values(self, fn):
-        table = {w: Fraction(fn(v)) for w, v in self._table.items()}
+        table = {w: _exact(fn(v)) for w, v in self._table.items()}
         return Functional._from_table(self.alphabet, self.max_order, table)
 
     def add(self, other):
@@ -119,7 +121,7 @@ class Functional:
         return self.map_values(lambda v: -v)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         return self.map_values(lambda v: c * v)
 
     __add__ = add
@@ -173,6 +175,14 @@ class Functional:
             f"Functional(alphabet={self.alphabet!r}, max_order={self.max_order},"
             f" nonzero={nonzero})"
         )
+
+
+def _exact(v):
+    # a float or a bool is not an exact rational value: refuse it rather than
+    # store its binary expansion, or read True and False as 1 and 0
+    if isinstance(v, (float, bool)):
+        raise ValueError(f"value {v!r} is a {type(v).__name__}, not an exact rational")
+    return Fraction(v)
 
 
 _RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")

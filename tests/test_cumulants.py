@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -29,6 +30,22 @@ def _pair_cumulant(max_order):
 
 def _sub(f, w, block):
     return f.value(tuple(w[i - 1] for i in block))
+
+
+def _plain_sum(src, from_kind, to_kind):
+    # the closed sum of `from_kind -> to_kind` on plain Fractions, word by
+    # word, over the rows expansion_terms lists
+    rows = {m: expansion_terms(from_kind, to_kind, m) for m in range(1, src.max_order + 1)}
+    out = {}
+    for w in src.words():
+        total = Fraction(0)
+        for p, coeff in rows[len(w)]:
+            term = coeff
+            for block in p.blocks:
+                term *= _sub(src, w, block)
+            total += term
+        out[w] = total
+    return out
 
 
 class TestMoments:
@@ -293,18 +310,7 @@ class TestExpansionTerms:
             ("boolean", "free", free_from_boolean),
             ("monotone", "boolean", boolean_from_monotone),
         ):
-            out = fn(src)
-            tables = {m: expansion_terms(from_kind, to_kind, m) for m in range(1, 6)}
-            for w in all_words(AB, 5):
-                total = Fraction(0)
-                for p, coeff in tables[len(w)]:
-                    if not coeff:
-                        continue
-                    term = coeff
-                    for block in p.blocks:
-                        term *= _sub(src, w, block)
-                    total += term
-                assert out.value(w) == total
+            assert fn(src)._table == _plain_sum(src, from_kind, to_kind)
 
     def test_moment_expansion(self):
         rows = {p.text(): c for p, c in expansion_terms("monotone", "moment", 3)}
@@ -340,3 +346,80 @@ class TestCachedTerms:
             cached = {row[0]: row[3] for row in cumulants._nc_terms(n)}
             for p in partitions.enumerate_nc(n):
                 assert cached[p.blocks] == partitions.is_interval(p)
+
+
+def _primes(count):
+    primes = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes):
+            primes.append(n)
+        n += 1
+    return primes
+
+
+_KERNEL_INPUTS = ("prime-denominators", "zero-lengths", "integers", "semicircle")
+
+
+@lru_cache(maxsize=None)
+def _kernel_inputs(n=6):
+    # inputs that stress the integer kernel's common denominators
+    words = list(all_words(AB, n))
+    signs = [1, -2, 3, -1, 2, -3]
+    dense = random_functional(AB, n, 260)
+    return {
+        # every word its own prime denominator: the lcm per length is large
+        "prime-denominators": Functional(
+            AB,
+            n,
+            {
+                w: Fraction(signs[i % 6], p)
+                for i, (w, p) in enumerate(zip(words, _primes(len(words))))
+            },
+        ),
+        # whole lengths that are zero: their common denominator is 1
+        "zero-lengths": Functional(
+            AB, n, {w: v for w, v in dense._table.items() if len(w) not in (1, 4)}
+        ),
+        "integers": Functional(AB, n, {w: (i * 7) % 9 - 4 for i, w in enumerate(words)}),
+        # the free semicircular system: sparse, mostly zero products
+        "semicircle": Functional(AB, n, {("a", "a"): 1, ("b", "b"): 1}),
+    }
+
+
+_CLOSED = [(x, y) for x in cumulants.CUMULANT_KINDS for y in cumulants.KINDS if y != x]
+
+
+class TestIntegerKernel:
+    """The integer partition-sum kernel against a plain Fraction sum."""
+
+    @pytest.mark.parametrize("name", _KERNEL_INPUTS)
+    @pytest.mark.parametrize("direction", _CLOSED, ids="-".join)
+    def test_closed_sums_match_plain_fractions(self, direction, name):
+        src = _kernel_inputs()[name]
+        out = convert(CumulantFamily(direction[0], src), direction[1]).data
+        assert out._table == _plain_sum(src, *direction)
+
+    @pytest.mark.parametrize("name", _KERNEL_INPUTS)
+    @pytest.mark.parametrize("kind", cumulants.CUMULANT_KINDS)
+    def test_inversions_round_trip(self, kind, name):
+        phi = _kernel_inputs()[name]
+        assert moments_from(kind, cumulants_from_moments(kind, phi)) == phi
+
+    def test_block_products_are_integers(self, monkeypatch):
+        # every value and coefficient the block products read is an int
+        seen = []
+        original = cumulants._block_product
+
+        def checked(table, w, blocks, start):
+            seen.append(type(start))
+            seen.extend(type(table[tuple(w[i] for i in b)]) for b in blocks)
+            return original(table, w, blocks, start)
+
+        monkeypatch.setattr(cumulants, "_block_product", checked)
+        src = _kernel_inputs(4)["prime-denominators"]
+        for x in cumulants.KINDS:
+            for y in cumulants.KINDS:
+                if x != y:
+                    convert(CumulantFamily(x, src), y)
+        assert seen and set(seen) == {int}

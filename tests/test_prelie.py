@@ -56,6 +56,27 @@ class TestFunctional:
         with pytest.raises(ValueError):
             Functional(AB, 2, {("c",): 1})
 
+    @pytest.mark.parametrize(
+        "bad", [0.1, 0.5, 2.0, -0.0, float("inf"), float("nan"), True, False]
+    )
+    def test_inexact_values_refused(self, bad):
+        # a float would be stored as its binary expansion, a bool as 1 or 0
+        with pytest.raises(ValueError):
+            Functional(("a",), 2, {("a",): bad})
+        f = Functional(("a",), 2, {("a",): 3, ("a", "a"): "1/2"})
+        with pytest.raises(ValueError):
+            f.map_values(lambda v: bad)
+        with pytest.raises(ValueError):
+            f.map_values(lambda v: bad if v == 3 else v)
+        with pytest.raises(ValueError):
+            f.scale(bad)
+
+    def test_exact_values_accepted(self):
+        f = Functional(("a",), 2, {("a",): 3, ("a", "a"): "1/2"})
+        assert f.scale(2) == Functional(("a",), 2, {("a",): 6, ("a", "a"): 1})
+        assert f.scale("2/3").value(("a",)) == 2
+        assert f.map_values(lambda v: v.numerator).value(("a", "a")) == 1
+
     def test_unknown_word_lookup(self):
         f = Functional(AB, 2)
         with pytest.raises(ValueError):
