@@ -228,6 +228,10 @@ def main(argv=None):
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # trees and nesting forests are walked recursively
+        print("error: input is nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,6 +35,17 @@ def _max_enum_n():
         ) from None
 
 
+def _check_enum_n(n):
+    bound = _max_enum_n()
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("ground-set size must be a positive integer")
+    if n > bound:
+        raise ValueError(
+            f"n = {n} exceeds the enumeration bound {bound}"
+            " (set NC_CUMULANTS_MAX_N to raise it)"
+        )
+
+
 class NCPartition:
     """A non-crossing partition of a finite set of positive integers.
 
@@ -294,14 +305,7 @@ def enumerate_nc(n):
     The count is the n-th Catalan number.  Bounded by default at n = 12;
     the NC_CUMULANTS_MAX_N environment variable overrides the bound.
     """
-    bound = _max_enum_n()
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("ground-set size must be a positive integer")
-    if n > bound:
-        raise ValueError(
-            f"n = {n} exceeds the enumeration bound {bound}"
-            " (set NC_CUMULANTS_MAX_N to raise it)"
-        )
+    _check_enum_n(n)
     return [NCPartition._wrap(blocks) for blocks in _nc_blocks(tuple(range(1, n + 1)))]
 
 
@@ -400,10 +404,9 @@ def enumerate_monotone_irr(n, k):
     process: the block labeled k is an interval of the current point set
     avoiding both endpoints, and the rest is an irreducible monotone
     partition of the complement with k-1 blocks.  Returns an empty list
-    when none exist.
+    when none exist.  Bounded like ``enumerate_nc``.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("ground-set size must be a positive integer")
+    _check_enum_n(n)
     if k < 1 or k > n:
         return []
     out = []

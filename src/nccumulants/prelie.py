@@ -5,19 +5,19 @@ A ``Functional`` is a total table of Fraction values on all words of length
 words are the multilinear basis.  On that space this module implements the
 left pre-Lie product (remove an inner non-empty factor of the word, evaluate
 the left argument on it and the right argument on what remains, with an
-overall minus sign), iterated left and right products, the effective degree
-of formal bracketings, the Bernoulli-weighted fixed-point expansion
-``magnus`` and its compositional inverse ``magnus_inverse``, and the
-exponential of a left-multiplication operator.
+overall minus sign) and one series of iterated left products,
+kappa + sum over n >= 1 of c_n L^n(kappa).  Three choices of left factor and
+weights give the Bernoulli-weighted fixed-point expansion ``magnus``, its
+compositional inverse ``magnus_inverse``, and the exponential of a
+left-multiplication operator ``exp_left``.
 
 Functionals are immutable after construction and all operations are pure;
-within ``magnus`` the strata are sequentially dependent by word length but
-callers observe a pure function.
+the series is filled stratum by stratum in word length, and callers observe
+a pure function.
 """
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as _cartesian
 from math import factorial
 
@@ -25,9 +25,8 @@ from .trees import bernoulli
 
 _ZERO = Fraction(0)
 
-
-class TruncationError(ValueError):
-    """Raised when a requested evaluation exceeds the table's max word length."""
+# the most words a table may hold; {a,b} at order 12 is 8,190 words
+_MAX_WORDS = 100_000
 
 
 def all_words(alphabet, max_len):
@@ -69,6 +68,7 @@ class Functional:
                 raise ValueError(f"invalid letter {a!r}")
         if isinstance(max_order, bool) or not isinstance(max_order, int) or max_order < 1:
             raise ValueError("max_order must be a positive integer")
+        _check_domain_size(len(alphabet), max_order)
         table = {w: _ZERO for w in all_words(alphabet, max_order)}
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "max_order", max_order)
@@ -82,7 +82,8 @@ class Functional:
 
     @classmethod
     def _from_table(cls, alphabet, max_order, table):
-        # trusted: `table` must be total on all words of length <= max_order
+        # trusted: `table` must be total on all words of length <= max_order,
+        # in the order of all_words (shortest first), which _series relies on
         self = object.__new__(cls)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "max_order", max_order)
@@ -177,6 +178,20 @@ class Functional:
         )
 
 
+def _check_domain_size(q, n):
+    # sum of q^m over m <= n, counted only until it passes the limit, so a
+    # huge max_order is refused before anything is allocated
+    size, power = 0, 1
+    for _ in range(n):
+        power *= q
+        size += power
+        if size > _MAX_WORDS:
+            raise ValueError(
+                f"the domain of {q}-letter words up to order {n} exceeds"
+                f" the limit of {_MAX_WORDS} words"
+            )
+
+
 def _exact(v):
     # a float or a bool is not an exact rational value: refuse it rather than
     # store its binary expansion, or read True and False as 1 and 0
@@ -206,28 +221,6 @@ def _require_same_space(a, b):
         raise ValueError("functionals live on different alphabets or truncation orders")
 
 
-def eval_blocks(alpha, word, blocks):
-    """Product of ``alpha`` over the subwords cut out by 1-based index blocks.
-
-    ``blocks`` must partition {1..len(word)}; letters inside a block are taken
-    in increasing index order.
-    """
-    word = tuple(word)
-    n = len(word)
-    covered = sorted(x for b in blocks for x in b)
-    if covered != list(range(1, n + 1)):
-        raise ValueError("blocks must partition the word's index set")
-    result = Fraction(1)
-    for b in blocks:
-        idx = sorted(b)
-        if len(idx) > alpha.max_order:
-            raise TruncationError(
-                f"block of size {len(idx)} exceeds max_order {alpha.max_order}"
-            )
-        result *= alpha.value(tuple(word[i - 1] for i in idx))
-    return result
-
-
 def _product_at(alpha_table, beta_table, w):
     # (alpha |> beta)(w) = - sum over w = w1 w2 w3, all parts non-empty,
     # of beta(w1 w3) alpha(w2)
@@ -255,149 +248,57 @@ def prelie_product(alpha, beta):
     return Functional._from_table(alpha.alphabet, alpha.max_order, table)
 
 
-def left_power(alpha, beta, n):
-    """n-fold left multiplication: alpha |> (alpha |> (... |> beta))."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    result = beta
-    for _ in range(n):
-        result = prelie_product(alpha, result)
-    return result
-
-
-def right_power(alpha, beta, n):
-    """n-fold right multiplication: ((beta |> alpha) |> alpha) ... |> alpha."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    result = beta
-    for _ in range(n):
-        result = prelie_product(result, alpha)
-    return result
-
-
-class PreLieMonomial:
-    """A formal bracketing of functionals under the pre-Lie product.
-
-    Tracks the effective degree: the smallest word length on which the
-    bracketing can evaluate to something nonzero.
-    """
-
-    __slots__ = ("left", "right", "leaf_value")
-
-    def __init__(self, left=None, right=None, leaf_value=None):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "leaf_value", leaf_value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PreLieMonomial is immutable")
-
-    @classmethod
-    def leaf(cls, functional):
-        return cls(leaf_value=functional)
-
-    @classmethod
-    def product(cls, left, right):
-        return cls(left=left, right=right)
-
-    @property
-    def is_leaf(self):
-        return self.left is None
-
-    def effective_degree(self):
-        if self.is_leaf:
-            return 1
-        return self.left.effective_degree() + max(2, self.right.effective_degree())
-
-    def evaluate(self):
-        """Evaluate the bracketing to a Functional."""
-        if self.is_leaf:
-            if not isinstance(self.leaf_value, Functional):
-                raise ValueError("leaf does not reference a Functional")
-            return self.leaf_value
-        return prelie_product(self.left.evaluate(), self.right.evaluate())
-
-
-def effective_degree(monomial):
-    """Minimal word length on which ``monomial`` can be nonzero.
-
-    Leaves have degree 1; a product adds the left degree and the right degree
-    clamped below by 2, so every evaluation vanishes on shorter words.
-    """
-    return monomial.effective_degree()
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_over_factorial(n):
-    return bernoulli(n) / factorial(n)
+def _series(left, kappa, coeff):
+    # kappa + sum over n >= 1 of coeff(n) times the n-fold left product
+    # L_left^n(kappa), filled one word length at a time.  Each product cuts a
+    # non-empty inner factor out of a word whose two outer parts are
+    # non-empty, so L^n vanishes on words shorter than n + 2 and length m
+    # needs n = 1..m-2 only.  With left=None the left factor is the series
+    # itself; length m reads it on lengths <= m-2, which are already final.
+    n_max = kappa.max_order
+    coeffs = [coeff(n) for n in range(n_max - 1)]
+    kt = kappa._table
+    out = {}
+    lt = out if left is None else left._table
+    # powers[n]: L^n(kappa) below the top length, which no later product
+    # reads; .get in _product_at reads the missing shorter words as zero
+    powers = [kt] + [{} for _ in range(n_max - 2)]
+    for w, acc in kt.items():  # shortest first, see _from_table
+        m = len(w)
+        for n in range(1, m - 1):
+            v = _product_at(lt, powers[n - 1], w)
+            if m < n_max:
+                powers[n][w] = v
+            if coeffs[n]:
+                acc += coeffs[n] * v
+        out[w] = acc
+    return Functional._from_table(kappa.alphabet, n_max, out)
 
 
 def magnus(kappa):
     """The Bernoulli-weighted fixed-point expansion of ``kappa``.
 
     Solves theta = sum over n >= 0 of B_n/n! applied as the n-fold left
-    multiplication of theta on kappa.  The value on a word of length m only
-    involves theta on strictly shorter words (each product raises the
-    effective degree), so the table is filled stratum by stratum and the
-    series is cut exactly where the effective degree exceeds max_order.
-
-    Applied to free cumulants this produces the monotone cumulants; the
-    closed form over irreducible non-crossing partitions lives in the
-    ``cumulants`` module and must agree with it.
+    multiplication of theta on kappa.  Applied to free cumulants this
+    produces the monotone cumulants; the closed form over irreducible
+    non-crossing partitions lives in the ``cumulants`` module and must agree
+    with it.
     """
-    n_max = kappa.max_order
-    kt = kappa._table
-    theta = {}
-    iters = [kt]  # iters[n]: n-fold left product of theta on kappa, filled lazily
-    for m in range(1, n_max + 1):
-        stratum = [w for w in kappa.words_of_length(m)]
-        for n in range(1, m - 1):
-            if len(iters) <= n:
-                iters.append({})
-            prev, cur = iters[n - 1], iters[n]
-            for w in stratum:
-                # reads theta on length <= m-2 and iters[n-1] on length <= m-1,
-                # all already final; .get covers the identically-zero entries
-                # below the effective degree n+1 of iters[n-1]
-                cur[w] = _product_at(theta, prev, w)
-        for w in stratum:
-            acc = kt[w]
-            for n in range(1, m - 1):
-                coeff = _bernoulli_over_factorial(n)
-                if coeff:
-                    acc += coeff * iters[n][w]
-            theta[w] = acc
-    return Functional._from_table(kappa.alphabet, kappa.max_order, theta)
-
-
-def _left_series(left, kappa, coeff):
-    # kappa plus coeff(n) times the n-fold left product of `left` on kappa,
-    # summed until the effective degree n + 1 exceeds max_order
-    acc = dict(kappa._table)
-    cur = kappa
-    for n in range(1, max(0, kappa.max_order - 1)):
-        cur = prelie_product(left, cur)
-        c = coeff(n)
-        for w, v in cur._table.items():
-            if v:
-                acc[w] += c * v
-    return Functional._from_table(kappa.alphabet, kappa.max_order, acc)
+    return _series(None, kappa, lambda n: bernoulli(n) / factorial(n))
 
 
 def magnus_inverse(kappa):
     """Compositional inverse of ``magnus``: kappa plus the 1/(n+1)!-weighted
-    iterated left products of kappa on itself, truncated exactly by the
-    effective degree."""
-    return _left_series(kappa, kappa, lambda n: Fraction(1, factorial(n + 1)))
+    iterated left products of kappa on itself."""
+    return _series(kappa, kappa, lambda n: Fraction(1, factorial(n + 1)))
 
 
 def exp_left(theta, kappa, sign=1):
     """The exponential series of left multiplication by ``theta`` on ``kappa``.
 
-    With sign -1 this is the inverse exponential.  Truncated exactly by the
-    effective degree.
+    With sign -1 this is the inverse exponential.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _require_same_space(theta, kappa)
-    return _left_series(theta, kappa, lambda n: Fraction(sign ** n, factorial(n)))
+    return _series(theta, kappa, lambda n: Fraction(sign ** n, factorial(n)))

@@ -51,6 +51,13 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "nc", "--n", "13")
         assert code == 2 and "NC_CUMULANTS_MAX_N" in err
 
+    def test_monotone_bound_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "enumerate", "monotone-irr", "--n", "13", "--k", "2", "--count"
+        )
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "NC_CUMULANTS_MAX_N" in err
+
     def test_env_raises_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("NC_CUMULANTS_MAX_N", "3")
         code, _, err = run_cli(capsys, "enumerate", "nc", "--n", "4")
@@ -117,6 +124,26 @@ class TestTree:
         assert code == 0
         assert row["components"] == ["{{1,2}}", "{{3,4}}"]
         assert row["irreducible"] is False
+
+
+DEEP_TREE = "[" * 3000 + "]" * 3000
+DEEP_PARTITION = "{" + ",".join(f"{{{i},{3001 - i}}}" for i in range(1, 1501)) + "}"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("tree", "--tree", DEEP_TREE),
+        ("omega", "--tree", DEEP_TREE),
+        ("tree", "--partition", DEEP_PARTITION),
+        ("omega", "--partition", DEEP_PARTITION),
+    ],
+    ids=["tree-tree", "omega-tree", "tree-partition", "omega-partition"],
+)
+def test_deep_nesting_refused(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 class TestConvert:
@@ -327,6 +354,7 @@ class TestHostileEnvelope:
             {"alphabet": ["a"], "max_order": True},
             {"alphabet": "ab", "max_order": 2},
             [1],
+            {"alphabet": ["a", "b"], "max_order": 64},
         ],
         ids=[
             "zero-denominator",
@@ -337,6 +365,7 @@ class TestHostileEnvelope:
             "bool-max-order",
             "string-alphabet",
             "list-functional",
+            "oversized-domain",
         ],
     )
     def test_refused(self, tmp_path, functional):

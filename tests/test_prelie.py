@@ -7,17 +7,11 @@ from nccumulants import partitions
 from nccumulants.oracle import random_functional
 from nccumulants.prelie import (
     Functional,
-    PreLieMonomial,
-    TruncationError,
     all_words,
-    effective_degree,
-    eval_blocks,
     exp_left,
-    left_power,
     magnus,
     magnus_inverse,
     prelie_product,
-    right_power,
     word_from_text,
     word_text,
 )
@@ -55,6 +49,14 @@ class TestFunctional:
             Functional(AB, 2, {("a", "a", "a"): 1})
         with pytest.raises(ValueError):
             Functional(AB, 2, {("c",): 1})
+
+    def test_domain_size_limit(self):
+        # the size is checked before the table is built, so the refusal is
+        # immediate however large the requested order
+        assert sum(1 for _ in Functional(AB, 12).words()) == 8190
+        for alphabet, order in ((AB, 64), (AB, 16), (("a",), 10**9)):
+            with pytest.raises(ValueError, match="limit of 100000 words"):
+                Functional(alphabet, order)
 
     @pytest.mark.parametrize(
         "bad", [0.1, 0.5, 2.0, -0.0, float("inf"), float("nan"), True, False]
@@ -124,34 +126,6 @@ class TestFunctional:
         assert word_text(("a", "b")) == "a,b"
         with pytest.raises(ValueError):
             word_from_text("a,,b")
-
-
-class TestEvalBlocks:
-    def test_single_block(self):
-        f = random_functional(AB, 3, 21)
-        w = ("a", "b")
-        assert eval_blocks(f, w, [[1, 2]]) == f.value(w)
-
-    def test_two_blocks(self):
-        f = random_functional(AB, 3, 22)
-        w = ("a", "b", "a")
-        assert eval_blocks(f, w, [[1, 3], [2]]) == f.value(("a", "a")) * f.value(("b",))
-
-    def test_concrete_product(self):
-        f = Functional(("a",), 2, {("a", "a"): 2, ("a",): 3})
-        assert eval_blocks(f, ("a", "a", "a"), [[1, 3], [2]]) == 6
-
-    def test_not_a_partition(self):
-        f = Functional(AB, 3)
-        with pytest.raises(ValueError):
-            eval_blocks(f, ("a", "b"), [[1]])
-        with pytest.raises(ValueError):
-            eval_blocks(f, ("a", "b"), [[1, 2], [2]])
-
-    def test_truncation(self):
-        f = Functional(("a",), 2)
-        with pytest.raises(TruncationError):
-            eval_blocks(f, ("a",) * 4, [[1, 2, 3], [4]])
 
 
 class TestProduct:
@@ -233,16 +207,6 @@ class TestProduct:
 
 
 class TestIteratedProducts:
-    def test_powers_base_cases(self):
-        a = random_functional(AB, 4, 41)
-        b = random_functional(AB, 4, 42)
-        assert left_power(a, b, 0) == b
-        assert right_power(a, b, 0) == b
-        assert left_power(a, b, 1) == prelie_product(a, b)
-        assert right_power(a, b, 1) == prelie_product(b, a)
-        with pytest.raises(ValueError):
-            left_power(a, b, -1)
-
     def test_right_iteration_ladder_sum(self):
         # ((k1 |> k2) |> k3) ... |> k_{n+1} is the signed sum over irreducible
         # partitions whose nesting tree is the (n+1)-ladder, outermost block
@@ -299,8 +263,9 @@ class TestIteratedProducts:
         n_max = 8
         rho = random_functional(AB, n_max, 70)
         kap = random_functional(AB, n_max, 71)
+        lhs = kap
         for n in (1, 2, 3):
-            lhs = left_power(rho, kap, n)
+            lhs = prelie_product(rho, lhs)
             per_length = {
                 m: [
                     (p, partitions.monotone_count_partition(p))
@@ -320,39 +285,22 @@ class TestIteratedProducts:
 
 
 class TestEffectiveDegree:
-    def test_examples(self):
-        a, b, c, d = (random_functional(AB, 6, 80 + i) for i in range(4))
-        la, lb, lc, ld = (PreLieMonomial.leaf(f) for f in (a, b, c, d))
-        assert effective_degree(la) == 1
-        ab = PreLieMonomial.product(la, lb)
-        assert effective_degree(ab) == 3
-        assert effective_degree(PreLieMonomial.product(la, ab)) == 4
-        assert effective_degree(PreLieMonomial.product(ab, lc)) == 5
-        cd = PreLieMonomial.product(lc, ld)
-        assert effective_degree(PreLieMonomial.product(ab, cd)) == 6
-
     def test_vanishing_law(self):
+        # a bracketing vanishes below its effective degree: a leaf has degree
+        # 1 and a product adds the left degree to the right degree, clamped
+        # below by 2
         a, b, c, d = (random_functional(AB, 6, 90 + i) for i in range(4))
-        la, lb, lc, ld = (PreLieMonomial.leaf(f) for f in (a, b, c, d))
+        pp = prelie_product
         shapes = [
-            PreLieMonomial.product(la, lb),
-            PreLieMonomial.product(la, PreLieMonomial.product(lb, lc)),
-            PreLieMonomial.product(PreLieMonomial.product(la, lb), lc),
-            PreLieMonomial.product(
-                PreLieMonomial.product(la, lb), PreLieMonomial.product(lc, ld)
-            ),
+            (pp(a, b), 3),
+            (pp(a, pp(b, c)), 4),
+            (pp(pp(a, b), c), 5),
+            (pp(pp(a, b), pp(c, d)), 6),
         ]
-        for mono in shapes:
-            deg = effective_degree(mono)
-            value = mono.evaluate()
-            for w in all_words(AB, min(deg - 1, 6)):
+        for value, degree in shapes:
+            for w in all_words(AB, degree - 1):
                 assert value.value(w) == 0
-
-    def test_leaf_without_functional(self):
-        bad = PreLieMonomial.leaf("not a functional")
-        assert effective_degree(bad) == 1
-        with pytest.raises(ValueError):
-            bad.evaluate()
+            assert any(value.value(w) for w in value.words_of_length(degree))
 
 
 class TestMagnus:
