@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from . import partitions, trees
-from .prelie import Functional
+from .prelie import Functional, _numerators
 
 KINDS = ("moment", "free", "boolean", "monotone")
 CUMULANT_KINDS = ("free", "boolean", "monotone")
@@ -116,18 +116,23 @@ _COEFF = {
 
 def _rows(direction, n):
     # (blocks, coefficient) for every partition in the order-n sum of
-    # `direction`; rows with equal inputs share one Fraction
+    # `direction`; rows with equal inputs share one Fraction.  The key holds
+    # omega as its numerator and denominator, so no Fraction is hashed.
     coeff = _COEFF[direction]
     irreducible_only = direction[1] != "moment"
     shared = {}
     for row in _nc_terms(n):
-        if irreducible_only and row[4] is None:
-            continue
-        key = row[1:]
+        blocks, nb, ff, iv, om = row
+        if om is None:
+            if irreducible_only:
+                continue
+            key = (nb, ff, iv)
+        else:
+            key = (nb, ff, iv, om.numerator, om.denominator)
         c = shared.get(key)
         if c is None:
-            c = shared[key] = Fraction(coeff(*key))
-        yield row[0], c
+            c = shared[key] = Fraction(coeff(nb, ff, iv, om))
+        yield blocks, c
 
 
 @lru_cache(maxsize=None)
@@ -161,21 +166,11 @@ def _terms(direction, n):
 def _block_product(table, w, blocks, start):
     product = start
     for b in blocks:
-        v = table[tuple(w[i] for i in b)]
+        v = table[tuple([w[i] for i in b])]
         if not v:
             return None
         product *= v
     return product
-
-
-def _numerators(table, words, num):
-    # store the values of `table` on `words`, all of one length, in `num` as
-    # integers over their least common denominator, and return that
-    d = lcm(*(table[w].denominator for w in words))
-    for w in words:
-        v = table[w]
-        num[w] = v.numerator * (d // v.denominator)
-    return d
 
 
 def _partition_sum(src, direction, invert=False):

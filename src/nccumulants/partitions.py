@@ -22,6 +22,9 @@ from .trees import Forest, RootedTree, forest_factorial
 
 _DEFAULT_MAX_N = 12
 
+# the most partitions enumerate_monotone_irr builds; n = 10, k = 6 has 67,284
+_MAX_MONOTONE_IRR = 100_000
+
 
 def _max_enum_n():
     raw = os.environ.get("NC_CUMULANTS_MAX_N")
@@ -404,11 +407,19 @@ def enumerate_monotone_irr(n, k):
     process: the block labeled k is an interval of the current point set
     avoiding both endpoints, and the rest is an irreducible monotone
     partition of the complement with k-1 blocks.  Returns an empty list
-    when none exist.  Bounded like ``enumerate_nc``.
+    when none exist.  Bounded like ``enumerate_nc``, and refused when the
+    family has more than ``_MAX_MONOTONE_IRR`` members, which is counted
+    before anything is built.
     """
     _check_enum_n(n)
     if k < 1 or k > n:
         return []
+    count = _mono_irr_count(n, k)
+    if count > _MAX_MONOTONE_IRR:
+        raise ValueError(
+            f"the {count} irreducible monotone partitions of {n} points with"
+            f" {k} blocks exceed the limit of {_MAX_MONOTONE_IRR}"
+        )
     out = []
     for seq in _mono_irr(tuple(range(1, n + 1)), k):
         base = NCPartition(seq)
@@ -416,6 +427,15 @@ def enumerate_monotone_irr(n, k):
         labels = tuple(position[b] for b in base.blocks)
         out.append(MonotonePartition(base, labels))
     return out
+
+
+@lru_cache(maxsize=None)
+def _mono_irr_count(m, k):
+    # the length of _mono_irr on m points: the block labeled k is an interval
+    # of length j avoiding both endpoints, at one of m - 1 - j places
+    if k == 1:
+        return 1 if m else 0
+    return sum((m - 1 - j) * _mono_irr_count(m - j, k - 1) for j in range(1, m - 1))
 
 
 def _mono_irr(points, k):

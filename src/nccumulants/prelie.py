@@ -11,6 +11,12 @@ weights give the Bernoulli-weighted fixed-point expansion ``magnus``, its
 compositional inverse ``magnus_inverse``, and the exponential of a
 left-multiplication operator ``exp_left``.
 
+The product and the series run on integers.  Each table read at length k is
+stored as integer numerators over one common denominator for that length;
+a product sums numerator products one inner factor length at a time and
+lifts each partial sum to a common denominator by one factor fixed per
+length, so each output word builds one Fraction.
+
 Functionals are immutable after construction and all operations are pure;
 the series is filled stratum by stratum in word length, and callers observe
 a pure function.
@@ -18,8 +24,8 @@ a pure function.
 
 import re
 from fractions import Fraction
-from itertools import product as _cartesian
-from math import factorial
+from itertools import islice, product as _cartesian
+from math import factorial, lcm
 
 from .trees import bernoulli
 
@@ -83,7 +89,7 @@ class Functional:
     @classmethod
     def _from_table(cls, alphabet, max_order, table):
         # trusted: `table` must be total on all words of length <= max_order,
-        # in the order of all_words (shortest first), which _series relies on
+        # in the order of all_words (shortest first), which _strata relies on
         self = object.__new__(cls)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "max_order", max_order)
@@ -221,19 +227,61 @@ def _require_same_space(a, b):
         raise ValueError("functionals live on different alphabets or truncation orders")
 
 
-def _product_at(alpha_table, beta_table, w):
-    # (alpha |> beta)(w) = - sum over w = w1 w2 w3, all parts non-empty,
-    # of beta(w1 w3) alpha(w2)
+def _numerators(table, words, num):
+    # store the values of `table` on `words`, all of one length, in `num` as
+    # integers over their least common denominator, and return that
+    d = lcm(*(table[w].denominator for w in words))
+    for w in words:
+        v = table[w]
+        num[w] = v.numerator * (d // v.denominator)
+    return d
+
+
+def _strata(f):
+    # the words of f's table one length at a time, shortest first, as the
+    # table's own key tuples, so that a table built on them shares its keys
+    words = iter(f._table)
+    q = len(f.alphabet)
+    for m in range(1, f.max_order + 1):
+        yield m, list(islice(words, q ** m))
+
+
+def _cuts(w):
+    # the (w2, w1 w3) pairs of every cut w = w1 w2 w3 into non-empty parts,
+    # one list per inner length len(w2) = 1..len(w)-2
     m = len(w)
-    total = _ZERO
-    for i in range(1, m - 1):
-        left = w[:i]
-        for j in range(i + 1, m):
-            inner = alpha_table.get(w[i:j], _ZERO)
-            if inner:
-                outer = beta_table.get(left + w[j:], _ZERO)
-                if outer:
-                    total += outer * inner
+    return [
+        [(w[i:i + k], w[:i] + w[i + k:]) for i in range(1, m - k)]
+        for k in range(1, m - 1)
+    ]
+
+
+def _factors(left_dens, right_dens, m, inner_max):
+    # a product at length m with inner factors of length 1..inner_max is a
+    # sum of numerators over left_dens[k] * right_dens[m - k]; return the lcm
+    # of those products and the factor lifting each one to it
+    products = [left_dens[k] * right_dens[m - k] for k in range(1, inner_max + 1)]
+    den = lcm(*products)
+    return den, [den // p for p in products]
+
+
+def _product_at(left, right, cuts, factors):
+    # (alpha |> beta)(w) = - sum over w = w1 w2 w3, all parts non-empty, of
+    # alpha(w2) beta(w1 w3), on integer numerators: `left` and `right` map
+    # words to numerators, `cuts` are the cuts of w by inner length, and the
+    # sum at inner length k is lifted by factors[k-1] to the common
+    # denominator.  Inner lengths past the end of `factors` are not read.
+    total = 0
+    for factor, pairs in zip(factors, cuts):
+        part = 0
+        for inner, outer in pairs:
+            a = left[inner]
+            if a:
+                b = right[outer]
+                if b:
+                    part += a * b
+        if part:
+            total += part * factor
     return -total
 
 
@@ -243,8 +291,16 @@ def prelie_product(alpha, beta):
     Vanishes on words of length < 3.
     """
     _require_same_space(alpha, beta)
-    at, bt = alpha._table, beta._table
-    table = {w: _product_at(at, bt, w) for w in alpha.words()}
+    anum, bnum = {}, {}
+    aden, bden = [1], [1]
+    table = {}
+    for m, words in _strata(alpha):
+        if m < alpha.max_order:  # no product reads the top length
+            aden.append(_numerators(alpha._table, words, anum))
+            bden.append(_numerators(beta._table, words, bnum))
+        den, factors = _factors(aden, bden, m, m - 2)
+        for w in words:
+            table[w] = Fraction(_product_at(anum, bnum, _cuts(w), factors), den)
     return Functional._from_table(alpha.alphabet, alpha.max_order, table)
 
 
@@ -252,26 +308,66 @@ def _series(left, kappa, coeff):
     # kappa + sum over n >= 1 of coeff(n) times the n-fold left product
     # L_left^n(kappa), filled one word length at a time.  Each product cuts a
     # non-empty inner factor out of a word whose two outer parts are
-    # non-empty, so L^n vanishes on words shorter than n + 2 and length m
-    # needs n = 1..m-2 only.  With left=None the left factor is the series
-    # itself; length m reads it on lengths <= m-2, which are already final.
+    # non-empty, so L^n vanishes on words shorter than n + 2: length m needs
+    # n = 1..m-2 only, and L^n at length m reads L^(n-1) on lengths >= n + 1,
+    # that is inner factors of length <= m - n - 1.  With left=None the left
+    # factor is the series itself; length m reads it on lengths <= m-2, which
+    # are already final.
+    #
+    # Everything runs on integer numerators over one denominator per length:
+    # kden[m] for kappa, lden[m] for the left factor, dens[n][m] for L^n.
+    # The output at length m is over the lcm of kden[m] and of
+    # den(coeff(n)) * dens[n][m], and each output word builds one Fraction.
+    # No product reads the top length, so no numerators are kept there.
     n_max = kappa.max_order
     coeffs = [coeff(n) for n in range(n_max - 1)]
     kt = kappa._table
     out = {}
-    lt = out if left is None else left._table
-    # powers[n]: L^n(kappa) below the top length, which no later product
-    # reads; .get in _product_at reads the missing shorter words as zero
-    powers = [kt] + [{} for _ in range(n_max - 2)]
-    for w, acc in kt.items():  # shortest first, see _from_table
-        m = len(w)
+    knum, kden = {}, [1]
+    if left is kappa:
+        lnum, lden = knum, kden
+    else:
+        lnum, lden = {}, [1]
+    # powers[n]: numerators of L^n(kappa) below the top length, which no
+    # later product reads
+    powers = [knum] + [{} for _ in range(n_max - 2)]
+    dens = [kden] + [[0] * n_max for _ in range(n_max - 2)]
+    for m, words in _strata(kappa):
+        top = m == n_max
+        if top:
+            kden.append(lcm(*(kt[w].denominator for w in words)))
+        else:
+            kden.append(_numerators(kt, words, knum))
+            if left is not None and left is not kappa:
+                lden.append(_numerators(left._table, words, lnum))
+        # L^n at length m for n = 1..m-2; at the top length it is not kept,
+        # so only the products with a nonzero weight are needed there
+        products = []
         for n in range(1, m - 1):
-            v = _product_at(lt, powers[n - 1], w)
-            if m < n_max:
-                powers[n][w] = v
-            if coeffs[n]:
-                acc += coeffs[n] * v
-        out[w] = acc
+            if not top or coeffs[n]:
+                den, factors = _factors(lden, dens[n - 1], m, m - n - 1)
+                if not top:
+                    dens[n][m] = den
+                products.append((n, factors, den))
+        out_den = lcm(kden[m], *(coeffs[n].denominator * den for n, _, den in products))
+        # L^n(w) enters the output's numerator times coeff(n) * out_den / den
+        steps = [
+            (powers[n - 1], None if top else powers[n], factors,
+             coeffs[n].numerator * (out_den // (coeffs[n].denominator * den)))
+            for n, factors, den in products
+        ]
+        for w in words:
+            v = kt[w]
+            total = v.numerator * (out_den // v.denominator)
+            cuts = _cuts(w)
+            for right, power, factors, weight in steps:
+                p = _product_at(lnum, right, cuts, factors)
+                if power is not None:
+                    power[w] = p
+                total += weight * p
+            out[w] = Fraction(total, out_den)
+        if left is None and not top:
+            lden.append(_numerators(out, words, lnum))
     return Functional._from_table(kappa.alphabet, n_max, out)
 
 

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -57,6 +58,20 @@ class TestEnumerate:
         )
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "NC_CUMULANTS_MAX_N" in err
+
+    def test_monotone_family_size_refused(self, capsys):
+        # n = 12, k = 9 has 12,753,576 members: counted and refused before
+        # any of them is built
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "enumerate", "monotone-irr", "--n", "12", "--k", "9")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "12753576" in err
+
+    def test_monotone_listing(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "monotone-irr", "--n", "4", "--k", "2")
+        assert code == 0
+        assert out.splitlines() == ["{{1,3,4},{2}}", "{{1,4},{2,3}}", "{{1,2,4},{3}}"]
 
     def test_env_raises_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("NC_CUMULANTS_MAX_N", "3")

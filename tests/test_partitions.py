@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from nccumulants import oracle
+from nccumulants import oracle, partitions
 from nccumulants.partitions import (
     BlockSubset,
     MonotonePartition,
@@ -249,6 +249,17 @@ class TestMonotone:
                 monotone_count_partition(p) for p in enumerate_nc_irr(n)
             )
             assert total == expected
+
+    def test_family_size_counted_exactly(self):
+        # the size guard counts exactly the family the enumeration builds
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                assert partitions._mono_irr_count(n, k) == len(enumerate_monotone_irr(n, k))
+
+    def test_family_size_limit(self):
+        assert partitions._mono_irr_count(10, 6) == 67284
+        with pytest.raises(ValueError, match="12753576 irreducible monotone"):
+            enumerate_monotone_irr(12, 9)
 
     def test_enumeration_no_duplicates(self):
         for n in range(2, 7):

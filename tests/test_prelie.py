@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import product
+from math import comb, factorial
 
 import pytest
 
 from nccumulants import partitions
+from nccumulants import prelie as prelie_module
 from nccumulants.oracle import random_functional
 from nccumulants.prelie import (
     Functional,
@@ -377,3 +379,133 @@ class TestExpLeft:
         f = Functional(AB, 3)
         with pytest.raises(ValueError):
             exp_left(f, f, 2)
+
+
+# Plain-Fraction references written from the definitions, sharing no code
+# with the integer kernel: the product sums over every cut w = w1 w2 w3, and
+# each series adds its weighted powers one full table at a time.
+
+
+def _ref_product(alpha, beta):
+    values = {}
+    for w in alpha.words():
+        m = len(w)
+        values[w] = -sum(
+            (
+                alpha.value(w[i:j]) * beta.value(w[:i] + w[j:])
+                for i in range(1, m - 1)
+                for j in range(i + 1, m)
+            ),
+            Fraction(0),
+        )
+    return Functional(alpha.alphabet, alpha.max_order, values)
+
+
+def _ref_series(left, kappa, coeff):
+    total = power = kappa
+    for n in range(1, kappa.max_order - 1):
+        power = _ref_product(left, power)
+        total = total + power.scale(coeff(n))
+    return total
+
+
+def _ref_bernoulli(n):
+    # B_0 = 1 and sum over k <= n of C(n+1, k) B_k = 0, so B_1 = -1/2
+    bs = [Fraction(1)]
+    for j in range(1, n + 1):
+        bs.append(-sum(comb(j + 1, k) * bs[k] for k in range(j)) / (j + 1))
+    return bs[n]
+
+
+def _ref_magnus(kappa):
+    # iterate theta -> kappa + sum B_n/n! L_theta^n(kappa); each round fixes
+    # two more lengths, since length m reads theta on lengths <= m - 2
+    theta = kappa
+    for _ in range(kappa.max_order):
+        nxt = _ref_series(theta, kappa, lambda n: _ref_bernoulli(n) / factorial(n))
+        if nxt == theta:
+            return theta
+        theta = nxt
+    raise AssertionError("the fixed-point iteration did not settle")
+
+
+def _primes(count):
+    found = []
+    p = 2
+    while len(found) < count:
+        if all(p % q for q in found if q * q <= p):
+            found.append(p)
+        p += 1
+    return found
+
+
+def _kernel_case(name):
+    # (kappa, theta) pairs: kappa carries the named feature, theta is dense
+    if name == "prime-denominators":
+        words = list(all_words(AB, 6))
+        primes = iter(_primes(2 * len(words)))
+        kappa = Functional(AB, 6, {w: Fraction(1 + i % 7, next(primes)) for i, w in enumerate(words)})
+        theta = Functional(AB, 6, {w: Fraction(-2 - i % 5, next(primes)) for i, w in enumerate(words)})
+        return kappa, theta
+    if name == "zero-length":
+        dense = random_functional(AB, 6, 130)
+        kappa = Functional(AB, 6, {w: v for w, v in dense._table.items() if len(w) != 4})
+        return kappa, random_functional(AB, 6, 131)
+    if name == "integers":
+        return (random_functional(AB, 6, 132).map_values(lambda v: v.numerator),
+                random_functional(AB, 6, 133).map_values(lambda v: v.numerator))
+    return random_functional(("a",), 12, 134), random_functional(("a",), 12, 135)
+
+
+KERNEL_CASES = ("prime-denominators", "zero-length", "integers", "univariate-12")
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_product_matches_definition(self, name):
+        kappa, theta = _kernel_case(name)
+        assert prelie_product(theta, kappa) == _ref_product(theta, kappa)
+        assert prelie_product(kappa, kappa) == _ref_product(kappa, kappa)
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_magnus_matches_fixed_point(self, name):
+        kappa, _ = _kernel_case(name)
+        theta = magnus(kappa)
+        assert theta == _ref_magnus(kappa)
+        assert magnus_inverse(theta) == kappa
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_magnus_inverse_matches_series(self, name):
+        kappa, _ = _kernel_case(name)
+        expected = _ref_series(kappa, kappa, lambda n: Fraction(1, factorial(n + 1)))
+        assert magnus_inverse(kappa) == expected
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_exp_left_matches_series(self, name, sign):
+        kappa, theta = _kernel_case(name)
+        forward = exp_left(theta, kappa, sign)
+        assert forward == _ref_series(theta, kappa, lambda n: Fraction(sign**n, factorial(n)))
+        assert exp_left(theta, forward, -sign) == kappa
+
+    def test_kernel_reads_integers(self, monkeypatch):
+        original = prelie_module._product_at
+        calls = []
+
+        def checked(left, right, cuts, factors):
+            assert all(type(f) is int for f in factors)
+            for pairs in cuts[: len(factors)]:
+                for inner, outer in pairs:
+                    assert type(left[inner]) is int and type(right[outer]) is int
+            result = original(left, right, cuts, factors)
+            assert type(result) is int
+            calls.append(result)
+            return result
+
+        monkeypatch.setattr(prelie_module, "_product_at", checked)
+        kappa, theta = _kernel_case("prime-denominators")
+        magnus(kappa)
+        magnus_inverse(kappa)
+        exp_left(theta, kappa, -1)
+        prelie_product(theta, kappa)
+        assert any(calls)
