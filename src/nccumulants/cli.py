@@ -229,7 +229,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # trees and nesting forests are walked recursively
+        # a JSON envelope nested deeper than the decoder's recursion limit
         print("error: input is nested too deeply", file=sys.stderr)
         return 2
 

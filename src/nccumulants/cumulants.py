@@ -19,7 +19,12 @@ numerators over one common denominator, grouped by the sorted block sizes
 of their partitions; the values read at each length are numerators over
 that length's common denominator.  A word's sum is then an integer over a
 denominator fixed per length, and each output word builds one Fraction.
-The caches are thread-safe and all functions are pure.
+
+Each table also lists its distinct blocks, at most 2^n - 1 of them.  A word
+first reads the value of each distinct block once into a small table keyed
+by the block; every row's block product then looks its blocks up there, so
+no subword is built or hashed per row.  The caches are thread-safe and all
+functions are pure.
 """
 
 from fractions import Fraction
@@ -138,13 +143,16 @@ def _rows(direction, n):
 @lru_cache(maxsize=None)
 def _terms(direction, n):
     # the rows with a nonzero coefficient, once per direction and order, as
-    # (den, shapes): den is the common denominator of the coefficients, and
-    # each shape (the sorted block sizes of a row) holds its rows as a tuple
-    # of blocks and a parallel tuple of integer numerators over den.  Rows
+    # (den, shapes, distinct): den is the common denominator of the
+    # coefficients, each shape (the sorted block sizes of a row) holds its
+    # rows as a tuple of blocks and a parallel tuple of integer numerators
+    # over den, and distinct holds every block of those rows once.  Rows
     # with equal coefficients share one numerator.
     groups = {}
+    distinct = set()
     for blocks, c in _rows(direction, n):
         if c:
+            distinct.update(blocks)
             shape = tuple(sorted(map(len, blocks)))
             group = groups.get(shape)
             if group is None:
@@ -160,13 +168,13 @@ def _terms(direction, n):
         (shape, tuple(blocks), tuple(nums[id(c)] for c in cs))
         for shape, (blocks, cs) in groups.items()
     )
-    return den, shapes
+    return den, shapes, tuple(distinct)
 
 
-def _block_product(table, w, blocks, start):
+def _block_product(vals, blocks, start):
     product = start
     for b in blocks:
-        v = table[tuple([w[i] for i in b])]
+        v = vals[b]
         if not v:
             return None
         product *= v
@@ -186,6 +194,11 @@ def _partition_sum(src, direction, invert=False):
     # (k1, k2, ...) is then a numerator over den * dens[k1] * dens[k2] * ...,
     # so each shape's integer sum is brought to the lcm `big` of those
     # products by one factor, and each word builds one Fraction.
+    #
+    # Each word reads the value of every distinct block of the table once,
+    # into `vals` keyed by the block; the rows then look their blocks up
+    # there, so a subword is built and hashed once per distinct block, not
+    # once per block of every row.
     st = src._table
     out = {}
     num = {}
@@ -197,7 +210,7 @@ def _partition_sum(src, direction, invert=False):
             num.update(dict.fromkeys(words, 0))
         else:
             dens.append(_numerators(st, words, num))
-        den, shapes = _terms(direction, m)
+        den, shapes, distinct = _terms(direction, m)
         products = [prod(dens[k] for k in shape) for shape, _, _ in shapes]
         big = lcm(*products)
         shapes = [
@@ -207,11 +220,12 @@ def _partition_sum(src, direction, invert=False):
         out_den = den * big
         for w in words:
             padded = (None,) + w  # a dummy letter at 0: 1-based blocks index it
+            vals = {b: num[tuple([padded[i] for i in b])] for b in distinct}
             total = 0
             for all_blocks, nums, factor in shapes:
                 part = 0
                 for blocks, c in zip(all_blocks, nums):
-                    term = _block_product(num, padded, blocks, c)
+                    term = _block_product(vals, blocks, c)
                     if term is not None:
                         part += term
                 total += part * factor

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
-from .trees import Forest, RootedTree, forest_factorial
+from .trees import _MAX_DEPTH, Forest, RootedTree, forest_factorial
 
 _DEFAULT_MAX_N = 12
 
@@ -376,20 +376,22 @@ def irreducible_components(p):
 
 def nesting_forest(p):
     """Rooted forest of the block nesting order: one tree per irreducible
-    component, children being the directly nested blocks."""
+    component, children being the directly nested blocks.
+
+    Blocks nested deeper than ``trees._MAX_DEPTH`` levels are refused.
+    """
     parents = _parents(p)
-    children = defaultdict(list)
-    roots = []
-    for j, par in enumerate(parents):
-        if par is None:
-            roots.append(j)
-        else:
-            children[par].append(j)
-
-    def build(j):
-        return RootedTree(build(c) for c in children[j])
-
-    return Forest(build(r) for r in roots)
+    # a parent precedes its children in canonical block order, so depths
+    # fill in one forward sweep and subtrees in one reverse sweep
+    depth = []
+    for par in parents:
+        depth.append(1 if par is None else depth[par] + 1)
+    if max(depth, default=0) > _MAX_DEPTH:
+        raise ValueError(f"blocks nested deeper than {_MAX_DEPTH} levels")
+    children = defaultdict(list)  # the roots under None
+    for j in range(len(parents) - 1, -1, -1):
+        children[parents[j]].append(RootedTree(children.pop(j, ())))
+    return Forest(children[None])
 
 
 def monotone_count_partition(p):

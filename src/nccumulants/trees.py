@@ -20,6 +20,12 @@ from functools import lru_cache
 from math import comb, factorial
 
 
+# the deepest nesting parse_forest and partitions.nesting_forest accept: the
+# tree walks (tree_factorial, omega, monotone_count) recurse once per level,
+# through a memo cache that costs a second stack frame per level
+_MAX_DEPTH = 200
+
+
 class TreeParseError(ValueError):
     """Raised for malformed bracket encodings."""
 
@@ -92,25 +98,28 @@ def parse_tree(s):
 
 
 def parse_forest(s):
-    """Parse concatenated bracket notation (e.g. "[[]][]") into a Forest."""
+    """Parse concatenated bracket notation (e.g. "[[]][]") into a Forest.
+
+    Nesting deeper than ``_MAX_DEPTH`` levels is refused.
+    """
     text = "".join(s.split())
     if not text:
         raise TreeParseError("empty tree encoding")
-    items, pos = _parse_items(text, 0)
-    if pos != len(text):
-        raise TreeParseError(f"unbalanced brackets in {s!r}")
-    return Forest(items)
-
-
-def _parse_items(s, i):
-    items = []
-    while i < len(s) and s[i] == "[":
-        kids, i = _parse_items(s, i + 1)
-        if i >= len(s) or s[i] != "]":
+    # the finished children of every open bracket, the forest at the bottom
+    stack = [[]]
+    for ch in text:
+        if ch == "[":
+            if len(stack) > _MAX_DEPTH:
+                raise TreeParseError(f"trees nested deeper than {_MAX_DEPTH} levels")
+            stack.append([])
+        elif ch == "]" and len(stack) > 1:
+            kids = stack.pop()
+            stack[-1].append(RootedTree(kids))
+        else:
             raise TreeParseError(f"unbalanced brackets in {s!r}")
-        items.append(RootedTree(kids))
-        i += 1
-    return items, i
+    if len(stack) > 1:
+        raise TreeParseError(f"unbalanced brackets in {s!r}")
+    return Forest(stack[0])
 
 
 def encode_tree(t):

@@ -411,10 +411,10 @@ class TestIntegerKernel:
         seen = []
         original = cumulants._block_product
 
-        def checked(table, w, blocks, start):
+        def checked(vals, blocks, start):
             seen.append(type(start))
-            seen.extend(type(table[tuple(w[i] for i in b)]) for b in blocks)
-            return original(table, w, blocks, start)
+            seen.extend(type(vals[b]) for b in blocks)
+            return original(vals, blocks, start)
 
         monkeypatch.setattr(cumulants, "_block_product", checked)
         src = _kernel_inputs(4)["prime-denominators"]
@@ -423,3 +423,31 @@ class TestIntegerKernel:
                 if x != y:
                     convert(CumulantFamily(x, src), y)
         assert seen and set(seen) == {int}
+
+    @pytest.mark.parametrize(
+        "direction",
+        _CLOSED + [("moment", kind) for kind in cumulants.CUMULANT_KINDS],
+        ids="-".join,
+    )
+    def test_one_product_per_row(self, monkeypatch, direction):
+        # one word per length: each word calls _block_product once for
+        # every nonzero-coefficient row of its table, as the traced
+        # block-product count assumes
+        calls = []
+        original = cumulants._block_product
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(cumulants, "_block_product", counted)
+        n = 6
+        src = random_functional(("a",), n, 15)
+        convert(CumulantFamily(direction[0], src), direction[1])
+        table = direction[::-1] if direction[0] == "moment" else direction
+        rows = sum(
+            len(nums)
+            for m in range(1, n + 1)
+            for _, _, nums in cumulants._terms(table, m)[1]
+        )
+        assert len(calls) == rows

@@ -1,8 +1,8 @@
-from math import comb
+from math import comb, factorial
 
 import pytest
 
-from nccumulants import oracle, partitions
+from nccumulants import oracle, partitions, trees
 from nccumulants.partitions import (
     BlockSubset,
     MonotonePartition,
@@ -205,6 +205,25 @@ class TestStructure:
         for n in range(1, 7):
             for p in enumerate_nc(n):
                 assert nesting_forest(p).size == p.num_blocks
+
+    @staticmethod
+    def _nested(depth):
+        # depth blocks {i, 2*depth+1-i}, each nested in the one before
+        return "{" + ",".join(f"{{{i},{2 * depth + 1 - i}}}" for i in range(1, depth + 1)) + "}"
+
+    def test_deep_nesting_refused(self):
+        p = NCPartition.from_text(self._nested(1500))
+        assert p.num_blocks == 1500
+        with pytest.raises(ValueError, match="nested deeper"):
+            nesting_forest(p)
+
+    def test_nesting_at_depth_limit(self):
+        depth = trees._MAX_DEPTH
+        forest = nesting_forest(NCPartition.from_text(self._nested(depth)))
+        assert forest.encoding == "[" * depth + "]" * depth
+        assert trees.forest_factorial(forest) == factorial(depth)
+        with pytest.raises(ValueError, match="nested deeper"):
+            nesting_forest(NCPartition.from_text(self._nested(depth + 1)))
 
 
 class TestMonotone:

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
 
 import pytest
 
@@ -24,6 +24,19 @@ AB = ("a", "b")
 def _sub(f, w, block):
     # value of f on the subword cut out by a 1-based block
     return f.value(tuple(w[i - 1] for i in block))
+
+
+def _integer_tables(fs):
+    # the common denominator d of the functionals fs, and each one's values
+    # as integer numerators over d
+    d = lcm(*(v.denominator for f in fs for v in f._table.values()))
+    return d, [{w: v.numerator * (d // v.denominator) for w, v in f._table.items()} for f in fs]
+
+
+def _block_values(nums, w, keys):
+    # the numerator of factor i on the subword of w cut out by a 1-based
+    # block, once for each (i, block) in keys
+    return {(i, b): nums[i][tuple([w[j - 1] for j in b])] for i, b in keys}
 
 
 class TestFunctional:
@@ -239,51 +252,61 @@ class TestIteratedProducts:
 
     def test_left_iteration_monotone_sum(self):
         # k1 |> (k2 |> (... |> k_{n+1})) sums over irreducible monotone
-        # partitions, the block labeled j paired with factor n+2-j
+        # partitions, the block labeled j paired with factor n+2-j; the sum
+        # runs on numerators over d^(n+1), reading each (factor, block) once
+        # per word
         n_max = 8
         fs = [random_functional(AB, n_max, 60 + i) for i in range(4)]
+        d, nums = _integer_tables(fs)
         for n in (1, 2, 3):
             chain = fs[n]
             for i in range(n - 1, -1, -1):
                 chain = prelie_product(fs[i], chain)
             per_length = {
-                m: partitions.enumerate_monotone_irr(m, n + 1)
+                m: [
+                    tuple((n - j, b) for j, b in enumerate(mp.blocks_by_label))
+                    for mp in partitions.enumerate_monotone_irr(m, n + 1)
+                ]
                 for m in range(1, n_max + 1)
             }
+            keys = {m: {k for row in rows for k in row} for m, rows in per_length.items()}
+            scale = (-1) ** n * d ** (n + 1)
             for w in all_words(AB, n_max):
-                total = Fraction(0)
-                for mp in per_length[len(w)]:
-                    term = Fraction((-1) ** n)
-                    for j, block in enumerate(mp.blocks_by_label):
-                        term *= _sub(fs[n - j], w, block)
-                    total += term
-                assert chain.value(w) == total
+                vals = _block_values(nums, w, keys[len(w)])
+                total = sum(prod(vals[key] for key in row) for row in per_length[len(w)])
+                assert chain.value(w) * scale == total
 
     def test_left_power_block_count_sum(self):
         # equal-argument left powers collapse to the count-weighted sum over
-        # irreducible partitions with n+1 blocks
+        # irreducible partitions with n+1 blocks, on numerators over d^(n+1)
         n_max = 8
         rho = random_functional(AB, n_max, 70)
         kap = random_functional(AB, n_max, 71)
+        d, nums = _integer_tables([kap, rho])
         lhs = kap
         for n in (1, 2, 3):
             lhs = prelie_product(rho, lhs)
+            # the outer block reads kap (factor 0), the others rho (factor 1)
             per_length = {
                 m: [
-                    (p, partitions.monotone_count_partition(p))
+                    (
+                        partitions.monotone_count_partition(p),
+                        ((0, p.blocks[0]),) + tuple((1, b) for b in p.blocks[1:]),
+                    )
                     for p in partitions.enumerate_nc_irr(m)
                     if p.num_blocks == n + 1
                 ]
                 for m in range(1, n_max + 1)
             }
+            keys = {m: {k for _, row in rows for k in row} for m, rows in per_length.items()}
+            scale = (-1) ** n * d ** (n + 1)
             for w in all_words(AB, n_max):
-                total = Fraction(0)
-                for p, count in per_length[len(w)]:
-                    term = Fraction((-1) ** n * count) * _sub(kap, w, p.blocks[0])
-                    for block in p.blocks[1:]:
-                        term *= _sub(rho, w, block)
-                    total += term
-                assert lhs.value(w) == total
+                vals = _block_values(nums, w, keys[len(w)])
+                total = sum(
+                    count * prod(vals[key] for key in row)
+                    for count, row in per_length[len(w)]
+                )
+                assert lhs.value(w) * scale == total
 
 
 class TestEffectiveDegree:

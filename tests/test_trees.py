@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -93,6 +94,19 @@ class TestCodec:
     def test_parse_errors(self, bad):
         with pytest.raises(TreeParseError):
             parse_tree(bad)
+
+    def test_deep_nesting_refused(self):
+        with pytest.raises(TreeParseError, match="nested deeper"):
+            parse_tree("[" * 3000 + "]" * 3000)
+
+    def test_nesting_at_depth_limit(self):
+        # the ladder of d vertices: one labeling, of rank d
+        d = trees._MAX_DEPTH
+        t = parse_tree("[" * d + "]" * d)
+        assert t.size == d and tree_factorial(t) == factorial(d)
+        assert omega(t) == Fraction((-1) ** (d + 1), d)
+        with pytest.raises(TreeParseError, match="nested deeper"):
+            parse_tree("[" * (d + 1) + "]" * (d + 1))
 
     def test_parse_forest(self):
         f = trees.parse_forest("[[]][]")
