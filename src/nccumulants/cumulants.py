@@ -10,9 +10,15 @@ word length, which is always solvable because the one-block term is the
 only one touching the full word.
 
 One cached table per length holds each partition's blocks, block count,
-forest factorial, interval flag and omega; one map gives each direction's
-coefficient as a function of those, evaluated once per direction and
-length; one loop sums the block products.
+forest factorial, interval flag and omega.  It is built in one sweep per
+partition: a stack pass over the blocks, sorted by their least point, gives
+the parent of every block; the factorial and the interval flag come
+straight off that parent array, and so does a canonical key of the nesting
+tree, under which omega is computed once per distinct tree.  The rows are
+then grouped once per length, by shape and by coefficient input, and each
+direction evaluates its coefficient once per input, not once per row; one
+map gives each direction's coefficient as a function of those inputs; one
+loop sums the block products.
 
 That loop runs on integers.  Each direction's order-n coefficients are
 numerators over one common denominator, grouped by the sorted block sizes
@@ -23,12 +29,20 @@ denominator fixed per length, and each output word builds one Fraction.
 Each table also lists its distinct blocks, at most 2^n - 1 of them.  A word
 first reads the value of each distinct block once into a small table keyed
 by the block; every row's block product then looks its blocks up there, so
-no subword is built or hashed per row.  The caches are thread-safe and all
-functions are pure.
+no subword is built or hashed per row.
+
+The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
+pure.  They keep, for every order n that a conversion reached:
+``_nc_terms(n)``, one row per non-crossing partition (Catalan(n) rows);
+``_grouped(n)``, the same rows grouped by shape and coefficient input;
+``_terms(direction, n)``, one integer table per direction; and
+``_omega_of``, one omega per distinct nesting tree (112 trees up to order
+11).  ``partitions._nc_blocks`` keeps the enumerated blocks themselves.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, compress
 from math import lcm, prod
 
 from . import partitions, trees
@@ -79,27 +93,40 @@ class CumulantFamily:
 def _nc_terms(n):
     # one row per partition of [n], in enumerate_nc order: 1-based blocks,
     # block count, forest factorial of the nesting forest, interval flag,
-    # and omega of the nesting tree (None unless irreducible).  The factorial
-    # is the product of the nesting-subtree sizes, taken straight off the
-    # parent array; children follow their parents in canonical block order,
-    # so one reverse sweep accumulates the sizes.
+    # and omega of the nesting tree (None unless irreducible), all from one
+    # parent array per partition.  Children follow their parents in block
+    # order, so one reverse sweep accumulates the subtree sizes, whose
+    # product is the factorial, and the canonical key of each subtree: the
+    # sorted tuple of its children's keys.  A partition is an interval one
+    # exactly when no block nests in another, since a block with a gap
+    # surrounds the blocks in that gap.
+    partitions._check_enum_n(n)
     rows = []
-    for p in partitions.enumerate_nc(n):
-        blocks = p.blocks
-        parents = partitions._parents(p)
-        sizes = [1] * len(parents)
-        for j in range(len(parents) - 1, -1, -1):
+    for blocks in partitions._nc_blocks(tuple(range(1, n + 1))):
+        parents = partitions._parents(blocks)
+        sizes = [1] * len(blocks)
+        for j in range(len(blocks) - 1, 0, -1):
             if parents[j] is not None:
                 sizes[parents[j]] += sizes[j]
-        ffact = 1
-        for s in sizes:
-            ffact *= s
-        interval = all(b[-1] - b[0] == len(b) - 1 for b in blocks)
         om = None
-        if p.is_irreducible():
-            om = trees.omega(partitions.nesting_forest(p).trees[0])
-        rows.append((blocks, len(blocks), ffact, interval, om))
+        if blocks[0][-1] == n:  # irreducible: block 0 is the only root
+            kids = [[] for _ in blocks]
+            for j in range(len(blocks) - 1, 0, -1):
+                kids[parents[j]].append(tuple(sorted(kids[j])))
+            om = _omega_of(tuple(sorted(kids[0])))
+        rows.append((blocks, len(blocks), prod(sizes), parents.count(None) == len(blocks), om))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _omega_of(key):
+    # omega of the rooted tree whose canonical key is `key`, computed once
+    # per distinct tree
+    return trees.omega(_tree_of(key))
+
+
+def _tree_of(key):
+    return trees.RootedTree(map(_tree_of, key))
 
 
 # The coefficient of a partition in each closed sum, from its block count,
@@ -119,56 +146,59 @@ _COEFF = {
 }
 
 
-def _rows(direction, n):
-    # (blocks, coefficient) for every partition in the order-n sum of
-    # `direction`; rows with equal inputs share one Fraction.  The key holds
+def _coefficient(direction, nb, ff, iv, om):
+    # a row's coefficient in the sum of `direction`, or None for a reducible
+    # row of a cumulant-to-cumulant sum, which does not enter it
+    if om is None and direction[1] != "moment":
+        return None
+    return Fraction(_COEFF[direction](nb, ff, iv, om))
+
+
+@lru_cache(maxsize=None)
+def _grouped(n):
+    # the order-n rows grouped once for every direction, as (keys, shapes):
+    # keys lists each distinct coefficient input (nb, ff, iv, om) once, and
+    # each shape (the sorted block sizes of a row) holds its rows' blocks in
+    # table order with a parallel tuple of indices into keys.  A key holds
     # omega as its numerator and denominator, so no Fraction is hashed.
-    coeff = _COEFF[direction]
-    irreducible_only = direction[1] != "moment"
-    shared = {}
-    for row in _nc_terms(n):
-        blocks, nb, ff, iv, om = row
-        if om is None:
-            if irreducible_only:
-                continue
-            key = (nb, ff, iv)
-        else:
-            key = (nb, ff, iv, om.numerator, om.denominator)
-        c = shared.get(key)
-        if c is None:
-            c = shared[key] = Fraction(coeff(nb, ff, iv, om))
-        yield blocks, c
+    index = {}
+    keys = []
+    groups = {}
+    for blocks, nb, ff, iv, om in _nc_terms(n):
+        key = (nb, ff, iv) if om is None else (nb, ff, iv, om.numerator, om.denominator)
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(keys)
+            keys.append((nb, ff, iv, om))
+        shape = tuple(sorted(map(len, blocks)))
+        group = groups.get(shape)
+        if group is None:
+            group = groups[shape] = ([], [])
+        group[0].append(blocks)
+        group[1].append(i)
+    return tuple(keys), tuple((shape, tuple(b), tuple(i)) for shape, (b, i) in groups.items())
 
 
 @lru_cache(maxsize=None)
 def _terms(direction, n):
     # the rows with a nonzero coefficient, once per direction and order, as
     # (den, shapes, distinct): den is the common denominator of the
-    # coefficients, each shape (the sorted block sizes of a row) holds its
-    # rows as a tuple of blocks and a parallel tuple of integer numerators
-    # over den, and distinct holds every block of those rows once.  Rows
-    # with equal coefficients share one numerator.
-    groups = {}
-    distinct = set()
-    for blocks, c in _rows(direction, n):
-        if c:
-            distinct.update(blocks)
-            shape = tuple(sorted(map(len, blocks)))
-            group = groups.get(shape)
-            if group is None:
-                group = groups[shape] = ([], [])
-            group[0].append(blocks)
-            group[1].append(c)
-    # `_rows` shares one Fraction per distinct coefficient, so identity
-    # finds the distinct ones without hashing a Fraction per row
-    coeffs = {id(c): c for _, cs in groups.values() for c in cs}
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    nums = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
-    shapes = tuple(
-        (shape, tuple(blocks), tuple(nums[id(c)] for c in cs))
-        for shape, (blocks, cs) in groups.items()
-    )
-    return den, shapes, tuple(distinct)
+    # coefficients, each shape holds its rows as a tuple of blocks and a
+    # parallel tuple of integer numerators over den, and distinct holds
+    # every block of those rows once.  The coefficient is evaluated once
+    # per key of the grouped table, not once per row.
+    keys, groups = _grouped(n)
+    cs = [_coefficient(direction, *key) for key in keys]
+    den = lcm(*(c.denominator for c in cs if c))
+    nums = [c.numerator * (den // c.denominator) if c else 0 for c in cs]
+    shapes = []
+    for shape, blocks, idx in groups:
+        row_nums = list(map(nums.__getitem__, idx))
+        kept = tuple(compress(blocks, row_nums))
+        if kept:
+            shapes.append((shape, kept, tuple(filter(None, row_nums))))
+    distinct = set(chain.from_iterable(chain.from_iterable(b for _, b, _ in shapes)))
+    return den, tuple(shapes), tuple(distinct)
 
 
 def _block_product(vals, blocks, start):
@@ -199,6 +229,11 @@ def _partition_sum(src, direction, invert=False):
     # into `vals` keyed by the block; the rows then look their blocks up
     # there, so a subword is built and hashed once per distinct block, not
     # once per block of every row.
+    #
+    # Every length up to max_order reads a table built from the enumeration,
+    # so the enumeration bound is checked for the longest length before any
+    # table is built.
+    partitions._check_enum_n(src.max_order)
     st = src._table
     out = {}
     num = {}
@@ -348,7 +383,9 @@ def expansion_terms(from_kind, to_kind, n):
         raise ValueError(
             f"unknown conversion {from_kind!r} -> {to_kind!r}; kinds are {KINDS}"
         )
-    return [
-        (partitions.NCPartition._wrap(blocks), c)
-        for blocks, c in _rows((from_kind, to_kind), n)
-    ]
+    rows = []
+    for blocks, *inputs in _nc_terms(n):
+        c = _coefficient((from_kind, to_kind), *inputs)
+        if c is not None:
+            rows.append((partitions.NCPartition._wrap(blocks), c))
+    return rows

@@ -214,7 +214,7 @@ class MonotonePartition:
         k = base.num_blocks
         if sorted(labels) != list(range(1, k + 1)):
             raise ValueError("labels must be a bijection onto 1..num_blocks")
-        parents = _parents(base)
+        parents = _parents(base.blocks)
         for child, par in enumerate(parents):
             if par is not None and labels[par] >= labels[child]:
                 raise ValueError("labels must increase from outer to nested blocks")
@@ -262,7 +262,7 @@ class BlockSubset:
         for i in selected:
             if not isinstance(i, int) or not 0 <= i < n:
                 raise ValueError(f"invalid block index {i!r}")
-        for root, par in enumerate(_parents(base)):
+        for root, par in enumerate(_parents(base.blocks)):
             if par is None and root not in selected:
                 raise ValueError("selection must contain every outer block")
         object.__setattr__(self, "base", base)
@@ -285,20 +285,21 @@ class BlockSubset:
         return f"BlockSubset({self.base.text()!r}, {sorted(self.selected)})"
 
 
-def _parents(p):
+def _parents(blocks):
     # parent[j] = index of the innermost block surrounding block j, or None.
-    # For disjoint blocks of a non-crossing partition, "i surrounds j" is
-    # exactly span containment; the surrounding blocks of j form a chain, so
-    # the innermost one is the one with the largest minimum.
-    blocks = p.blocks
+    # The blocks come sorted by their least point, so one stack sweep finds
+    # every parent: the stack holds the chain of spans still open, innermost
+    # on top; pop each one that closed before block j starts, and the top
+    # surrounds j, since a non-crossing block that starts inside a span ends
+    # inside it too.
     parents = []
-    for j, bj in enumerate(blocks):
-        best = None
-        for i, bi in enumerate(blocks):
-            if i != j and bi[0] < bj[0] and bj[-1] < bi[-1]:
-                if best is None or bi[0] > blocks[best][0]:
-                    best = i
-        parents.append(best)
+    stack = []
+    for j, b in enumerate(blocks):
+        start = b[0]
+        while stack and blocks[stack[-1]][-1] < start:
+            stack.pop()
+        parents.append(stack[-1] if stack else None)
+        stack.append(j)
     return tuple(parents)
 
 
@@ -380,7 +381,7 @@ def nesting_forest(p):
 
     Blocks nested deeper than ``trees._MAX_DEPTH`` levels are refused.
     """
-    parents = _parents(p)
+    parents = _parents(p.blocks)
     # a parent precedes its children in canonical block order, so depths
     # fill in one forward sweep and subtrees in one reverse sweep
     depth = []
@@ -460,7 +461,7 @@ def sub_families(p):
 
     The empty partition yields the single empty subset.
     """
-    parents = _parents(p)
+    parents = _parents(p.blocks)
     roots = [j for j, par in enumerate(parents) if par is None]
     optional = [j for j, par in enumerate(parents) if par is not None]
     out = []
@@ -481,7 +482,7 @@ def v_components(subset):
     """
     p = subset.base
     sel = subset.selected
-    parents = _parents(p)
+    parents = _parents(p.blocks)
     owner = []
     for j in range(len(p.blocks)):
         cur = j

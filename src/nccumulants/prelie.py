@@ -67,11 +67,13 @@ class Functional:
 
     def __init__(self, alphabet, max_order, values=None):
         alphabet = tuple(alphabet)
-        if not alphabet or len(set(alphabet)) != len(alphabet):
-            raise ValueError("alphabet must be a non-empty set of distinct letters")
+        # letters are checked first: a list or a dict read from JSON is not
+        # hashable, so the distinctness test below would raise TypeError
         for a in alphabet:
             if not isinstance(a, str) or not a or "," in a:
                 raise ValueError(f"invalid letter {a!r}")
+        if not alphabet or len(set(alphabet)) != len(alphabet):
+            raise ValueError("alphabet must be a non-empty set of distinct letters")
         if isinstance(max_order, bool) or not isinstance(max_order, int) or max_order < 1:
             raise ValueError("max_order must be a positive integer")
         _check_domain_size(len(alphabet), max_order)

@@ -347,6 +347,64 @@ class TestCachedTerms:
             for p in partitions.enumerate_nc(n):
                 assert cached[p.blocks] == partitions.is_interval(p)
 
+    def test_omega_matches_recursive_oracle(self):
+        # the table's omega, from a tree key built off the parent array,
+        # against the Bernoulli recursion over block subsets
+        from nccumulants import oracle, partitions
+
+        for n in range(1, 9):
+            for blocks, _, _, _, om in cumulants._nc_terms(n):
+                p = partitions.NCPartition._wrap(blocks)
+                if p.is_irreducible():
+                    assert om == oracle.omega_recursive(p), p.text()
+                else:
+                    assert om is None, p.text()
+
+    def test_omega_matches_nesting_tree(self):
+        # the table no longer builds nesting forests: the tree route is an
+        # independent check of its keys
+        from nccumulants import partitions, trees
+
+        for n in range(1, 11):
+            for blocks, _, _, _, om in cumulants._nc_terms(n):
+                if om is not None:
+                    p = partitions.NCPartition._wrap(blocks)
+                    assert om == trees.omega(partitions.nesting_forest(p).trees[0]), p.text()
+
+    @staticmethod
+    def _fresh_caches(monkeypatch):
+        # empty table caches for one test, so no earlier table is reused
+        for name in ("_nc_terms", "_grouped", "_terms", "_omega_of"):
+            original = getattr(cumulants, name).__wrapped__
+            monkeypatch.setattr(cumulants, name, lru_cache(maxsize=None)(original))
+
+    def test_enumeration_bound_on_table_path(self, monkeypatch):
+        # the tables read the enumeration's blocks directly; the bound is
+        # still checked, before anything is enumerated
+        from nccumulants import partitions
+
+        self._fresh_caches(monkeypatch)
+        enumerated = []
+        monkeypatch.setattr(partitions, "_nc_blocks", lambda points: enumerated.append(points))
+        monkeypatch.setenv("NC_CUMULANTS_MAX_N", "8")
+        with pytest.raises(ValueError, match="enumeration bound"):
+            cumulants._nc_terms(9)
+        src = random_functional(("a",), 9, 17)
+        for x, y in (("free", "moment"), ("moment", "monotone"), ("boolean", "free")):
+            with pytest.raises(ValueError, match="enumeration bound"):
+                convert(CumulantFamily(x, src), y)
+        assert enumerated == []
+
+    def test_cache_sizes(self, monkeypatch):
+        # what the table caches keep after a conversion at order 11: one
+        # entry per order, and one omega per distinct nesting tree
+        self._fresh_caches(monkeypatch)
+        convert(CumulantFamily("free", _pair_cumulant(11)), "monotone")
+        assert cumulants._nc_terms.cache_info().currsize == 11
+        assert cumulants._grouped.cache_info().currsize == 11
+        assert cumulants._terms.cache_info().currsize == 11
+        assert cumulants._omega_of.cache_info().currsize == 112
+
 
 def _primes(count):
     primes = []

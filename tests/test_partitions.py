@@ -201,6 +201,20 @@ class TestStructure:
         assert nesting_forest(P("{{1,9,10},{2,3},{4,5,8},{6,7}}")).encoding == "[[][[]]]"
         assert nesting_forest(P("{{1,2},{3,4}}")).encoding == "[][]"
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_parents_match_innermost_container(self, n):
+        # the stack sweep against the definition: the parent of block j is
+        # the block containing j that every other container of j contains
+        for p in enumerate_nc(n):
+            k = p.num_blocks
+            expected = []
+            for j in range(k):
+                outer = [i for i in range(k) if i != j and nesting_lt(p, i, j)]
+                inner = [i for i in outer if all(nesting_lt(p, o, i) for o in outer if o != i)]
+                assert len(inner) == (1 if outer else 0), p.text()
+                expected.append(inner[0] if inner else None)
+            assert partitions._parents(p.blocks) == tuple(expected), p.text()
+
     def test_forest_vertex_count(self):
         for n in range(1, 7):
             for p in enumerate_nc(n):

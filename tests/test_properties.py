@@ -1,4 +1,5 @@
-"""Property tests for the parse/print and conversion round trips.
+"""Property tests for the parse/print and conversion round trips, and for
+the refusal of malformed envelopes.
 
 Every test is derandomized, so a run draws the same examples each time and
 keeps no example database.
@@ -6,11 +7,12 @@ keeps no example database.
 
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nccumulants import partitions
-from nccumulants.cumulants import CUMULANT_KINDS, CumulantFamily, convert
+from nccumulants.cumulants import CUMULANT_KINDS, KINDS, CumulantFamily, convert
 from nccumulants.partitions import NCPartition
 from nccumulants.prelie import Functional, all_words
 
@@ -65,3 +67,79 @@ def test_partition_text_round_trip(p):
 def test_moment_round_trip(phi, kind):
     moments = CumulantFamily("moment", phi)
     assert convert(convert(moments, kind), "moment") == moments
+
+
+_CUMULANT_PAIRS = [(x, y) for x in CUMULANT_KINDS for y in CUMULANT_KINDS if x != y]
+
+
+@_SETTINGS
+@given(
+    _functionals(st.just(("a", "b")), st.integers(1, 4)),
+    st.sampled_from(_CUMULANT_PAIRS),
+)
+def test_cumulant_round_trip(x, direction):
+    family = CumulantFamily(direction[0], x)
+    assert convert(convert(family, direction[1]), direction[0]) == family
+
+
+# any value json.loads can return
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+# one defect each: every envelope these build is refused
+_DEFECTS = {
+    "envelope": _json.filter(lambda v: not isinstance(v, dict)),
+    "kind": _json.filter(lambda v: v not in KINDS),
+    "functional": _json.filter(lambda v: not isinstance(v, dict)),
+    "alphabet": _json.filter(lambda v: not isinstance(v, list))
+    | st.lists(_json.filter(lambda v: not isinstance(v, str)), min_size=1, max_size=3)
+    # a list or an object as a letter is not even hashable
+    | st.lists(
+        st.lists(_json, max_size=2) | st.dictionaries(st.text(max_size=2), _json, max_size=2),
+        min_size=1,
+        max_size=2,
+    )
+    | st.sampled_from([[], ["a", "a"], [""], ["a,b"]]),
+    "max_order": _json.filter(lambda v: type(v) is not int) | st.integers(max_value=0),
+    # the domain check counts words before allocating any
+    "oversized": st.integers(100_001, 10**30),
+    "values": _json.filter(lambda v: not isinstance(v, dict))
+    | st.dictionaries(st.sampled_from(["", "a,,b", "c", "a,b,a,b,a", " "]), _json, min_size=1)
+    | st.dictionaries(
+        st.sampled_from(["a", "b,a"]),
+        st.floats() | st.booleans() | st.none() | st.sampled_from(["1/0", "x", "1.5", "2/"]),
+        min_size=1,
+    ),
+}
+
+
+@st.composite
+def _malformed_envelopes(draw):
+    defect = draw(st.sampled_from(sorted(_DEFECTS)))
+    bad = draw(_DEFECTS[defect])
+    if defect == "envelope":
+        return bad
+    functional = {"alphabet": ["a", "b"], "max_order": 4, "values": {"a,b": "1/2"}}
+    envelope = {"kind": draw(st.sampled_from(KINDS)), "functional": functional}
+    if defect in ("kind", "functional"):
+        envelope[defect] = bad
+    elif defect == "oversized":
+        functional["max_order"] = bad
+    else:
+        functional[defect] = bad
+    for key in draw(st.sets(st.sampled_from(["kind", "functional"]), max_size=1)):
+        del envelope[key]
+    return envelope
+
+
+@settings(_SETTINGS, max_examples=200)
+@given(_malformed_envelopes())
+def test_malformed_envelopes_refused(envelope):
+    with pytest.raises(ValueError):
+        CumulantFamily.from_json(envelope)
