@@ -46,7 +46,7 @@ from itertools import chain, compress
 from math import lcm, prod
 
 from . import partitions, trees
-from .prelie import Functional, _numerators
+from .prelie import Functional
 
 KINDS = ("moment", "free", "boolean", "monotone")
 CUMULANT_KINDS = ("free", "boolean", "monotone")
@@ -209,6 +209,16 @@ def _block_product(vals, blocks, start):
             return None
         product *= v
     return product
+
+
+def _numerators(table, words, num):
+    # store the values of `table` on `words`, all of one length, in `num` as
+    # integers over their least common denominator, and return that
+    d = lcm(*(table[w].denominator for w in words))
+    for w in words:
+        v = table[w]
+        num[w] = v.numerator * (d // v.denominator)
+    return d
 
 
 def _partition_sum(src, direction, invert=False):

@@ -10,6 +10,13 @@ would crawl.
 
 Checks return report dicts {"check": name, "status": "pass"|"fail"} with a
 "counterexample" entry on failure; they never raise on a mismatch.
+
+One memo cache is kept, unbounded, for the life of the process:
+``_omega_rec``, keyed on a partition's blocks relabeled onto {1..n}.  It
+holds one ``Fraction`` per distinct irreducible partition reached, that is,
+each partition checked and the components its recursion splits off, so it
+grows at most to the irreducible partitions of each size checked
+(Catalan(n - 1) of size n).
 """
 
 import random

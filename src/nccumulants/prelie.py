@@ -11,21 +11,29 @@ weights give the Bernoulli-weighted fixed-point expansion ``magnus``, its
 compositional inverse ``magnus_inverse``, and the exponential of a
 left-multiplication operator ``exp_left``.
 
-The product and the series run on integers.  Each table read at length k is
-stored as integer numerators over one common denominator for that length;
-a product sums numerator products one inner factor length at a time and
-lifts each partial sum to a common denominator by one factor fixed per
-length, so each output word builds one Fraction.
+The product and the series run on integer rows.  Each table read at length
+k is a list of integer numerators over one common denominator for that
+length, indexed by the word's code: its position among the words of length
+k, which is the word read in base q, first letter most significant.  A
+product fills a whole length m at once: for each inner length k and cut
+position, the words w1 w2 w3 with |w2| = k read the left row of length k
+and one slice of the right row of length m - k, so the sum is slice
+arithmetic over the shorter outer part, with the lift to the common
+denominator folded into the left row.  Length m reads only shorter
+lengths, which are already final, so the series fills every power, and
+its own left factor in ``magnus``, one length at a time.  Each output word
+builds one Fraction.
 
-Functionals are immutable after construction and all operations are pure;
-the series is filled stratum by stratum in word length, and callers observe
-a pure function.
+Tables are total and in ``all_words`` order, shortest first; the codes rely
+on it, and every constructor keeps it.  Functionals are immutable after
+construction and all operations are pure.
 """
 
 import re
 from fractions import Fraction
 from itertools import islice, product as _cartesian
 from math import factorial, lcm
+from operator import add
 
 from .trees import bernoulli
 
@@ -91,7 +99,8 @@ class Functional:
     @classmethod
     def _from_table(cls, alphabet, max_order, table):
         # trusted: `table` must be total on all words of length <= max_order,
-        # in the order of all_words (shortest first), which _strata relies on
+        # in the order of all_words (shortest first): _strata reads a word's
+        # position in its length as its code
         self = object.__new__(cls)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "max_order", max_order)
@@ -229,33 +238,23 @@ def _require_same_space(a, b):
         raise ValueError("functionals live on different alphabets or truncation orders")
 
 
-def _numerators(table, words, num):
-    # store the values of `table` on `words`, all of one length, in `num` as
-    # integers over their least common denominator, and return that
-    d = lcm(*(table[w].denominator for w in words))
-    for w in words:
-        v = table[w]
-        num[w] = v.numerator * (d // v.denominator)
-    return d
+def _push(rows, dens, values):
+    # append the values of one length, in code order, to `rows` as integer
+    # numerators over their least common denominator, appended to `dens`
+    d = lcm(*(v.denominator for v in values))
+    dens.append(d)
+    rows.append([v.numerator * (d // v.denominator) for v in values])
 
 
 def _strata(f):
     # the words of f's table one length at a time, shortest first, as the
-    # table's own key tuples, so that a table built on them shares its keys
-    words = iter(f._table)
+    # table's own key tuples, with their values.  Tables are in all_words
+    # order, so a word's position in its stratum is its code: base q, first
+    # letter most significant.
+    words, values = iter(f._table), iter(f._table.values())
     q = len(f.alphabet)
     for m in range(1, f.max_order + 1):
-        yield m, list(islice(words, q ** m))
-
-
-def _cuts(w):
-    # the (w2, w1 w3) pairs of every cut w = w1 w2 w3 into non-empty parts,
-    # one list per inner length len(w2) = 1..len(w)-2
-    m = len(w)
-    return [
-        [(w[i:i + k], w[:i] + w[i + k:]) for i in range(1, m - k)]
-        for k in range(1, m - 1)
-    ]
+        yield m, list(islice(words, q ** m)), list(islice(values, q ** m))
 
 
 def _factors(left_dens, right_dens, m, inner_max):
@@ -267,24 +266,46 @@ def _factors(left_dens, right_dens, m, inner_max):
     return den, [den // p for p in products]
 
 
-def _product_at(left, right, cuts, factors):
+def _product_at(left, right, m, q, factors):
     # (alpha |> beta)(w) = - sum over w = w1 w2 w3, all parts non-empty, of
-    # alpha(w2) beta(w1 w3), on integer numerators: `left` and `right` map
-    # words to numerators, `cuts` are the cuts of w by inner length, and the
-    # sum at inner length k is lifted by factors[k-1] to the common
-    # denominator.  Inner lengths past the end of `factors` are not read.
-    total = 0
-    for factor, pairs in zip(factors, cuts):
-        part = 0
-        for inner, outer in pairs:
-            a = left[inner]
-            if a:
-                b = right[outer]
-                if b:
-                    part += a * b
-        if part:
-            total += part * factor
-    return -total
+    # alpha(w2) beta(w1 w3), for every word w of length m at once, on integer
+    # numerators.  left[k] and right[k] are the rows of length k, indexed by
+    # word code; the sum at inner length k is lifted by factors[k-1] to the
+    # common denominator, and inner lengths past the end of `factors` are not
+    # read.  Returns the row of length m.
+    #
+    # A cut with prefix p of length i, inner x of length k and suffix s of
+    # length a = m - i - k has code (p q^k + x) q^a + s, and its outer part
+    # p s has code p q^a + s.  For fixed i, k and x, the outer parts run over
+    # one slice of right[m - k]: contiguous over s for each p when a >= i,
+    # strided over p for each s when a < i, so the loop runs over the shorter
+    # of the two outer parts and every step adds a whole slice.
+    out = [0] * q ** m
+    for k, factor in enumerate(factors, 1):
+        # the lift and the sign folded into the left row, zeros dropped
+        inner = [(x, -factor * v) for x, v in enumerate(left[k]) if v]
+        if not inner:
+            continue
+        outer = right[m - k]
+        for i in range(1, m - k):
+            qa = q ** (m - i - k)
+            step = q ** k * qa
+            if qa >= q ** i:
+                for p in range(q ** i):
+                    part = outer[p * qa:(p + 1) * qa]
+                    if any(part):
+                        base = p * step
+                        for x, lx in inner:
+                            at = base + x * qa
+                            out[at:at + qa] = map(add, out[at:at + qa], map(lx.__mul__, part))
+            else:
+                for s in range(qa):
+                    part = outer[s::qa]
+                    if any(part):
+                        for x, lx in inner:
+                            at = x * qa + s
+                            out[at::step] = map(add, out[at::step], map(lx.__mul__, part))
+    return out
 
 
 def prelie_product(alpha, beta):
@@ -293,16 +314,16 @@ def prelie_product(alpha, beta):
     Vanishes on words of length < 3.
     """
     _require_same_space(alpha, beta)
-    anum, bnum = {}, {}
-    aden, bden = [1], [1]
+    q = len(alpha.alphabet)
+    arows, brows, aden, bden = [None], [None], [1], [1]
     table = {}
-    for m, words in _strata(alpha):
+    for (m, words, avals), (_, _, bvals) in zip(_strata(alpha), _strata(beta)):
         if m < alpha.max_order:  # no product reads the top length
-            aden.append(_numerators(alpha._table, words, anum))
-            bden.append(_numerators(beta._table, words, bnum))
+            _push(arows, aden, avals)
+            _push(brows, bden, bvals)
         den, factors = _factors(aden, bden, m, m - 2)
-        for w in words:
-            table[w] = Fraction(_product_at(anum, bnum, _cuts(w), factors), den)
+        row = _product_at(arows, brows, m, q, factors)
+        table.update(zip(words, [Fraction(v, den) for v in row]))
     return Functional._from_table(alpha.alphabet, alpha.max_order, table)
 
 
@@ -312,64 +333,61 @@ def _series(left, kappa, coeff):
     # non-empty inner factor out of a word whose two outer parts are
     # non-empty, so L^n vanishes on words shorter than n + 2: length m needs
     # n = 1..m-2 only, and L^n at length m reads L^(n-1) on lengths >= n + 1,
-    # that is inner factors of length <= m - n - 1.  With left=None the left
-    # factor is the series itself; length m reads it on lengths <= m-2, which
-    # are already final.
+    # that is inner factors of length <= m - n - 1.  Length m reads every
+    # table only on shorter lengths, which are already final, so each length
+    # is filled as whole rows.  With left=None the left factor is the series
+    # itself; length m reads it on lengths <= m-2.
     #
-    # Everything runs on integer numerators over one denominator per length:
+    # Everything runs on integer rows over one denominator per length:
     # kden[m] for kappa, lden[m] for the left factor, dens[n][m] for L^n.
     # The output at length m is over the lcm of kden[m] and of
     # den(coeff(n)) * dens[n][m], and each output word builds one Fraction.
-    # No product reads the top length, so no numerators are kept there.
+    # No product reads the top length, so no powers are kept there.
     n_max = kappa.max_order
+    q = len(kappa.alphabet)
     coeffs = [coeff(n) for n in range(n_max - 1)]
-    kt = kappa._table
     out = {}
-    knum, kden = {}, [1]
+    krows, kden = [None], [1]
+    # the left factor's values, length by length; None when it is kappa or
+    # the series itself, whose rows are pushed as they are filled
+    lvals = None
     if left is kappa:
-        lnum, lden = knum, kden
+        lrows, lden = krows, kden
     else:
-        lnum, lden = {}, [1]
-    # powers[n]: numerators of L^n(kappa) below the top length, which no
-    # later product reads
-    powers = [knum] + [{} for _ in range(n_max - 2)]
+        lrows, lden = [None], [1]
+        if left is not None:
+            lvals = (values for _, _, values in _strata(left))
+    # powers[n][m]: the row of L^n(kappa) at length m, below the top length
+    powers = [krows] + [[None] * n_max for _ in range(n_max - 2)]
     dens = [kden] + [[0] * n_max for _ in range(n_max - 2)]
-    for m, words in _strata(kappa):
+    for m, words, values in _strata(kappa):
         top = m == n_max
-        if top:
-            kden.append(lcm(*(kt[w].denominator for w in words)))
-        else:
-            kden.append(_numerators(kt, words, knum))
-            if left is not None and left is not kappa:
-                lden.append(_numerators(left._table, words, lnum))
+        _push(krows, kden, values)
+        if lvals is not None and not top:
+            _push(lrows, lden, next(lvals))
         # L^n at length m for n = 1..m-2; at the top length it is not kept,
-        # so only the products with a nonzero weight are needed there
-        products = []
-        for n in range(1, m - 1):
-            if not top or coeffs[n]:
-                den, factors = _factors(lden, dens[n - 1], m, m - n - 1)
-                if not top:
-                    dens[n][m] = den
-                products.append((n, factors, den))
-        out_den = lcm(kden[m], *(coeffs[n].denominator * den for n, _, den in products))
-        # L^n(w) enters the output's numerator times coeff(n) * out_den / den
+        # so only the products with a nonzero weight are needed there, and
+        # each is added to the output and dropped before the next is filled
         steps = [
-            (powers[n - 1], None if top else powers[n], factors,
-             coeffs[n].numerator * (out_den // (coeffs[n].denominator * den)))
-            for n, factors, den in products
+            (n, *_factors(lden, dens[n - 1], m, m - n - 1))
+            for n in range(1, m - 1)
+            if not top or coeffs[n]
         ]
-        for w in words:
-            v = kt[w]
-            total = v.numerator * (out_den // v.denominator)
-            cuts = _cuts(w)
-            for right, power, factors, weight in steps:
-                p = _product_at(lnum, right, cuts, factors)
-                if power is not None:
-                    power[w] = p
-                total += weight * p
-            out[w] = Fraction(total, out_den)
+        out_den = lcm(kden[m], *(coeffs[n].denominator * den for n, den, _ in steps))
+        total = [v * (out_den // kden[m]) for v in krows[m]]
+        for n, den, factors in steps:
+            power = _product_at(lrows, powers[n - 1], m, q, factors)
+            if not top:
+                dens[n][m] = den
+                powers[n][m] = power
+            # L^n(w) enters the output's numerator times coeff(n) * out_den / den
+            weight = coeffs[n].numerator * (out_den // (coeffs[n].denominator * den))
+            if weight:
+                total = list(map(add, total, map(weight.__mul__, power)))
+        values = [Fraction(v, out_den) for v in total]
+        out.update(zip(words, values))
         if left is None and not top:
-            lden.append(_numerators(out, words, lnum))
+            _push(lrows, lden, values)
     return Functional._from_table(kappa.alphabet, n_max, out)
 
 
@@ -394,9 +412,11 @@ def magnus_inverse(kappa):
 def exp_left(theta, kappa, sign=1):
     """The exponential series of left multiplication by ``theta`` on ``kappa``.
 
-    With sign -1 this is the inverse exponential.
+    With sign -1 this is the inverse exponential.  The sign is the integer
+    +1 or -1; a bool or a float raises ``ValueError``, as values do.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    if isinstance(sign, (bool, float)) or sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    sign = 1 if sign == 1 else -1
     _require_same_space(theta, kappa)
     return _series(theta, kappa, lambda n: Fraction(sign ** n, factorial(n)))

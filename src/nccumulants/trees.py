@@ -12,7 +12,21 @@ serves as an independent cross-check.
 
 All coefficients are exact ``fractions.Fraction`` values; no floating point
 is used anywhere.  Trees and forests are immutable, every function is pure,
-and the memo caches are the thread-safe ``functools.lru_cache``.
+and the memo caches are the thread-safe ``functools.lru_cache``.  They are
+unbounded and live as long as the process:
+
+- ``tree_factorial`` and ``_strict_counts``, keyed on a tree: one entry per
+  distinct tree or subtree reached (the factorial an int, the counts a
+  tuple of |t| + 1 ints);
+- ``omega``, keyed on a tree: one ``Fraction`` per distinct tree it is
+  called on; a conversion calls it once per distinct nesting tree (112
+  trees up to order 11);
+- ``_overlay_count``, keyed on three ints at most the largest tree size n:
+  at most n^3 entries;
+- ``bernoulli``, keyed on n: one entry per index up to the largest asked;
+- ``trees_of_size``, keyed on n: every tree of each size up to n (1, 1, 2,
+  4, 9, 20, 48, 115, 286, 719 trees for n = 1..10), so it grows
+  exponentially in the largest size asked.
 """
 
 from fractions import Fraction

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
 
 from nccumulants import oracle
@@ -81,6 +84,18 @@ class TestRandomFunctional:
             v = f.value(w)
             assert abs(v) <= 9
             assert v.denominator in (1, 2, 3, 5)
+
+
+class TestOmegaRecursiveCache:
+    def test_cache_size(self, monkeypatch):
+        # _omega_rec keeps one entry per distinct partition it reaches,
+        # relabeled onto {1..n}: here the partition itself, the component
+        # {{1,3},{2}} that both inner pairs standardize to, {{1,2}} and {{1}}
+        original = oracle._omega_rec.__wrapped__
+        monkeypatch.setattr(oracle, "_omega_rec", lru_cache(maxsize=None)(original))
+        p = NCPartition([[1, 8], [2, 4], [3], [5, 7], [6]])
+        assert oracle.omega_recursive(p) == Fraction(1, 30)
+        assert oracle._omega_rec.cache_info().currsize == 4
 
 
 class TestChecks:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, lcm, prod
@@ -399,9 +400,13 @@ class TestExpLeft:
         assert exp_left(theta, exp_left(theta, kappa, 1), -1) == kappa
 
     def test_bad_sign(self):
+        # True would read as +1, and a float sign would reach Fraction as a
+        # TypeError: both are refused like a float or bool value
         f = Functional(AB, 3)
-        with pytest.raises(ValueError):
-            exp_left(f, f, 2)
+        for bad in (2, 0, True, False, 1.0, -1.0, "1", None):
+            with pytest.raises(ValueError, match="sign must be"):
+                exp_left(f, f, bad)
+        assert exp_left(f, f, Fraction(-1)) == f
 
 
 # Plain-Fraction references written from the definitions, sharing no code
@@ -462,14 +467,34 @@ def _primes(count):
     return found
 
 
+def _prime_pair(alphabet, order):
+    # dense tables with a distinct prime denominator on every word
+    words = list(all_words(alphabet, order))
+    primes = iter(_primes(2 * len(words)))
+    kappa = Functional(alphabet, order, {w: Fraction(1 + i % 7, next(primes)) for i, w in enumerate(words)})
+    theta = Functional(alphabet, order, {w: Fraction(-2 - i % 5, next(primes)) for i, w in enumerate(words)})
+    return kappa, theta
+
+
+ABC = ("a", "b", "c")
+
+# a few nonzero words of {a,b,c} up to order 6: most rows of every length
+# are zero, so the kernel skips whole slices of its right factor
+_SPARSE = {
+    ("b",): 2,
+    ("a", "c"): Fraction(-1, 3),
+    ("c", "c"): 5,
+    ("a", "b", "a"): Fraction(7, 2),
+    ("c", "a", "b", "b"): -3,
+    ("b", "c", "a", "a", "c"): Fraction(1, 5),
+    ("a", "a", "c", "b", "c", "a"): 4,
+}
+
+
 def _kernel_case(name):
     # (kappa, theta) pairs: kappa carries the named feature, theta is dense
     if name == "prime-denominators":
-        words = list(all_words(AB, 6))
-        primes = iter(_primes(2 * len(words)))
-        kappa = Functional(AB, 6, {w: Fraction(1 + i % 7, next(primes)) for i, w in enumerate(words)})
-        theta = Functional(AB, 6, {w: Fraction(-2 - i % 5, next(primes)) for i, w in enumerate(words)})
-        return kappa, theta
+        return _prime_pair(AB, 6)
     if name == "zero-length":
         dense = random_functional(AB, 6, 130)
         kappa = Functional(AB, 6, {w: v for w, v in dense._table.items() if len(w) != 4})
@@ -477,10 +502,27 @@ def _kernel_case(name):
     if name == "integers":
         return (random_functional(AB, 6, 132).map_values(lambda v: v.numerator),
                 random_functional(AB, 6, 133).map_values(lambda v: v.numerator))
+    if name == "ternary-primes":
+        return _prime_pair(ABC, 6)
+    if name == "quaternary-5":
+        return random_functional("abcd", 5, 136), random_functional("abcd", 5, 137)
+    if name == "sparse-ternary":
+        return Functional(ABC, 6, _SPARSE), random_functional(ABC, 6, 138)
     return random_functional(("a",), 12, 134), random_functional(("a",), 12, 135)
 
 
-KERNEL_CASES = ("prime-denominators", "zero-length", "integers", "univariate-12")
+# the base-q codes of the kernel's rows are exercised for q = 1..4, and at
+# orders >= 5 both slice orientations (outer suffix longer or shorter than
+# the outer prefix) run
+KERNEL_CASES = (
+    "prime-denominators",
+    "zero-length",
+    "integers",
+    "univariate-12",
+    "ternary-primes",
+    "quaternary-5",
+    "sparse-ternary",
+)
 
 
 class TestIntegerKernel:
@@ -512,23 +554,41 @@ class TestIntegerKernel:
         assert exp_left(theta, forward, -sign) == kappa
 
     def test_kernel_reads_integers(self, monkeypatch):
+        # every factor, every value read and every value returned is an int,
+        # and the kernel runs once per (length, power), filling a whole row
         original = prelie_module._product_at
-        calls = []
+        calls, nonzero = [], []
 
-        def checked(left, right, cuts, factors):
+        def checked(left, right, m, q, factors):
             assert all(type(f) is int for f in factors)
-            for pairs in cuts[: len(factors)]:
-                for inner, outer in pairs:
-                    assert type(left[inner]) is int and type(right[outer]) is int
-            result = original(left, right, cuts, factors)
-            assert type(result) is int
-            calls.append(result)
+            for k in range(1, len(factors) + 1):
+                assert len(left[k]) == q**k and len(right[m - k]) == q ** (m - k)
+                assert all(type(v) is int for v in left[k])
+                assert all(type(v) is int for v in right[m - k])
+            result = original(left, right, m, q, factors)
+            assert len(result) == q**m and all(type(v) is int for v in result)
+            calls.append(m)
+            nonzero.append(any(result))
             return result
 
         monkeypatch.setattr(prelie_module, "_product_at", checked)
         kappa, theta = _kernel_case("prime-denominators")
+        n = kappa.max_order
+        # L^j at length m for j = 1..m-2, one call each
+        every_power = Counter({m: m - 2 for m in range(3, n + 1)})
+
+        def lengths():
+            seen = Counter(calls)
+            calls.clear()
+            return seen
+
         magnus(kappa)
+        # B_3/3! = 0: at the top length, whose powers are not kept, L^3 is skipped
+        assert lengths() == every_power - Counter({n: 1})
         magnus_inverse(kappa)
+        assert lengths() == every_power
         exp_left(theta, kappa, -1)
+        assert lengths() == every_power
         prelie_product(theta, kappa)
-        assert any(calls)
+        assert lengths() == Counter(range(1, n + 1))
+        assert any(nonzero)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nccumulants import partitions
 from nccumulants.cumulants import CUMULANT_KINDS, KINDS, CumulantFamily, convert
 from nccumulants.partitions import NCPartition
-from nccumulants.prelie import Functional, all_words
+from nccumulants.prelie import Functional, all_words, prelie_product
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -80,6 +80,34 @@ _CUMULANT_PAIRS = [(x, y) for x in CUMULANT_KINDS for y in CUMULANT_KINDS if x !
 def test_cumulant_round_trip(x, direction):
     family = CumulantFamily(direction[0], x)
     assert convert(convert(family, direction[1]), direction[0]) == family
+
+
+@st.composite
+def _sparse_pairs(draw):
+    # two functionals on one space of 1-3 letters up to order 6, each with at
+    # most six nonzero words; words are drawn letter by letter, so long
+    # words are as likely as short ones
+    alphabet = "abc"[: draw(st.integers(1, 3))]
+    max_order = draw(st.integers(1, 6))
+    words = st.lists(st.sampled_from(alphabet), min_size=1, max_size=max_order).map(tuple)
+    alpha, beta = (
+        Functional(alphabet, max_order, draw(st.dictionaries(words, _values, max_size=6)))
+        for _ in range(2)
+    )
+    return alpha, beta
+
+
+@_SETTINGS
+@given(_sparse_pairs())
+def test_prelie_product_is_the_cut_sum(pair):
+    # (alpha |> beta)(w) = - sum over w = w1 w2 w3, all parts non-empty, of
+    # alpha(w2) beta(w1 w3), written cut by cut
+    alpha, beta = pair
+    product = prelie_product(alpha, beta)
+    for w in alpha.words():
+        m = len(w)
+        cuts = [(w[i:j], w[:i] + w[j:]) for i in range(1, m - 1) for j in range(i + 1, m)]
+        assert product.value(w) == -sum(alpha.value(x) * beta.value(y) for x, y in cuts)
 
 
 # any value json.loads can return

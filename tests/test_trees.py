@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -233,6 +234,19 @@ class TestOmega:
         assert omega_forest(Forest()) == 1
         assert omega_forest(trees.parse_forest("[][]")) == 1
         assert omega_forest(trees.parse_forest("[[]][[[]]]")) == Fraction(-1, 6)
+
+    def test_cache_sizes(self, monkeypatch):
+        # what the omega caches keep after the frozen-table suite: one omega
+        # per tree called on and one count row per distinct subtree; here
+        # the 17 trees up to five vertices, which are their own subtrees
+        from nccumulants import oracle
+
+        for name in ("omega", "_strict_counts"):
+            original = getattr(trees, name).__wrapped__
+            monkeypatch.setattr(trees, name, lru_cache(maxsize=None)(original))
+        oracle.run_suite("tables")
+        assert trees.omega.cache_info().currsize == 17
+        assert trees._strict_counts.cache_info().currsize == 17
 
 
 class TestOmegaRecursive:
