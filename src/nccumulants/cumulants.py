@@ -23,8 +23,10 @@ loop sums the block products.
 That loop runs on integers.  Each direction's order-n coefficients are
 numerators over one common denominator, grouped by the sorted block sizes
 of their partitions; the values read at each length are numerators over
-that length's common denominator.  A word's sum is then an integer over a
-denominator fixed per length, and each output word builds one Fraction.
+that length's common denominator, read and lifted by ``prelie._strata`` and
+``prelie._push`` as in the pre-Lie series.  A word's sum is then an integer
+over a denominator fixed per length, and each output word builds one
+Fraction.
 
 Each table also lists its distinct blocks, at most 2^n - 1 of them.  A word
 first reads the value of each distinct block once into a small table keyed
@@ -33,9 +35,9 @@ no subword is built or hashed per row.
 
 The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
 pure.  They keep, for every order n that a conversion reached:
-``_nc_terms(n)``, one row per non-crossing partition (Catalan(n) rows);
-``_grouped(n)``, the same rows grouped by shape and coefficient input;
-``_terms(direction, n)``, one integer table per direction; and
+``_grouped(n)``, the rows of ``_nc_terms(n)`` (one per non-crossing
+partition, Catalan(n) rows, not cached) grouped by shape and coefficient
+input; ``_terms(direction, n)``, one integer table per direction; and
 ``_omega_of``, one omega per distinct nesting tree (112 trees up to order
 11).  ``partitions._nc_blocks`` keeps the enumerated blocks themselves.
 """
@@ -46,7 +48,7 @@ from itertools import chain, compress
 from math import lcm, prod
 
 from . import partitions, trees
-from .prelie import Functional
+from .prelie import Functional, _push, _strata
 
 KINDS = ("moment", "free", "boolean", "monotone")
 CUMULANT_KINDS = ("free", "boolean", "monotone")
@@ -89,7 +91,6 @@ class CumulantFamily:
         return cls(kind, Functional.from_json(functional))
 
 
-@lru_cache(maxsize=None)
 def _nc_terms(n):
     # one row per partition of [n], in enumerate_nc order: 1-based blocks,
     # block count, forest factorial of the nesting forest, interval flag,
@@ -211,16 +212,6 @@ def _block_product(vals, blocks, start):
     return product
 
 
-def _numerators(table, words, num):
-    # store the values of `table` on `words`, all of one length, in `num` as
-    # integers over their least common denominator, and return that
-    d = lcm(*(table[w].denominator for w in words))
-    for w in words:
-        v = table[w]
-        num[w] = v.numerator * (d // v.denominator)
-    return d
-
-
 def _partition_sum(src, direction, invert=False):
     # out(w) = sum over the order-|w| rows of coefficient * prod src(block).
     # With invert, solve src = that sum of out for out instead: the one-block
@@ -230,10 +221,11 @@ def _partition_sum(src, direction, invert=False):
     # they are summed, so the one-block row drops out as a zero product.
     #
     # The sum runs on integers.  The values read at length k (the input, or
-    # the outputs solved so far) are numerators over dens[k]; a row of shape
-    # (k1, k2, ...) is then a numerator over den * dens[k1] * dens[k2] * ...,
-    # so each shape's integer sum is brought to the lcm `big` of those
-    # products by one factor, and each word builds one Fraction.
+    # the outputs solved so far) are numerators over dens[k], lifted by
+    # prelie._push; a row of shape (k1, k2, ...) is then a numerator over
+    # den * dens[k1] * dens[k2] * ..., so each shape's integer sum is brought
+    # to the lcm `big` of those products by one factor, and each word builds
+    # one Fraction.
     #
     # Each word reads the value of every distinct block of the table once,
     # into `vals` keyed by the block; the rows then look their blocks up
@@ -244,17 +236,13 @@ def _partition_sum(src, direction, invert=False):
     # so the enumeration bound is checked for the longest length before any
     # table is built.
     partitions._check_enum_n(src.max_order)
-    st = src._table
     out = {}
     num = {}
-    dens = [1]
-    for m in range(1, src.max_order + 1):
-        words = list(src.words_of_length(m))
-        if invert:
-            dens.append(1)
-            num.update(dict.fromkeys(words, 0))
-        else:
-            dens.append(_numerators(st, words, num))
+    rows, dens = [None], [1]
+    for m, words, values in _strata(src):
+        # in an inversion the outputs of length m read as 0 until solved
+        _push(rows, dens, [0] * len(words) if invert else values)
+        num.update(zip(words, rows[m]))
         den, shapes, distinct = _terms(direction, m)
         products = [prod(dens[k] for k in shape) for shape, _, _ in shapes]
         big = lcm(*products)
@@ -263,7 +251,8 @@ def _partition_sum(src, direction, invert=False):
             for (_, all_blocks, nums), p in zip(shapes, products)
         ]
         out_den = den * big
-        for w in words:
+        sums = []
+        for w, v in zip(words, values):
             padded = (None,) + w  # a dummy letter at 0: 1-based blocks index it
             vals = {b: num[tuple([padded[i] for i in b])] for b in distinct}
             total = 0
@@ -274,15 +263,14 @@ def _partition_sum(src, direction, invert=False):
                     if term is not None:
                         part += term
                 total += part * factor
-            if invert:
-                v = st[w]
-                out[w] = Fraction(
-                    v.numerator * out_den - total * v.denominator, v.denominator * out_den
-                )
-            else:
-                out[w] = Fraction(total, out_den)
+            if invert:  # out(w) = src(w) - total / out_den
+                total = v.numerator * out_den - total * v.denominator
+            sums.append(Fraction(total, v.denominator * out_den if invert else out_den))
+        out.update(zip(words, sums))
         if invert:
-            dens[m] = _numerators(out, words, num)
+            del rows[m], dens[m]
+            _push(rows, dens, sums)
+            num.update(zip(words, rows[m]))
     return Functional._from_table(src.alphabet, src.max_order, out)
 
 

@@ -3,15 +3,15 @@
 A ``Functional`` is a total table of Fraction values on all words of length
 1..max_order over a finite alphabet: the free-vector-space view in which
 words are the multilinear basis.  On that space this module implements the
-left pre-Lie product (remove an inner non-empty factor of the word, evaluate
-the left argument on it and the right argument on what remains, with an
-overall minus sign) and one series of iterated left products,
-kappa + sum over n >= 1 of c_n L^n(kappa).  Three choices of left factor and
-weights give the Bernoulli-weighted fixed-point expansion ``magnus``, its
-compositional inverse ``magnus_inverse``, and the exponential of a
-left-multiplication operator ``exp_left``.
+left pre-Lie product L_alpha(beta) (remove an inner non-empty factor of the
+word, evaluate alpha on it and beta on what remains, with an overall minus
+sign) as the first term of one series of iterated left products, the sum
+over n >= 0 of c_n L^n(kappa).  Four choices of left factor and weights give
+the product itself (c_n = [n = 1]), the Bernoulli-weighted fixed-point
+expansion ``magnus``, its compositional inverse ``magnus_inverse``, and the
+exponential of a left-multiplication operator ``exp_left``.
 
-The product and the series run on integer rows.  Each table read at length
+The series runs on integer rows.  Each table read at length
 k is a list of integer numerators over one common denominator for that
 length, indexed by the word's code: its position among the words of length
 k, which is the word read in base q, first letter most significant.  A
@@ -26,7 +26,9 @@ builds one Fraction.
 
 Tables are total and in ``all_words`` order, shortest first; the codes rely
 on it, and every constructor keeps it.  Functionals are immutable after
-construction and all operations are pure.
+construction and all operations are pure.  The module keeps no cache; the
+closed sums in ``cumulants`` read and lift their input through the same
+``_strata`` and ``_push``.
 """
 
 import re
@@ -122,9 +124,6 @@ class Functional:
     def words(self):
         """All words of the domain, shortest first."""
         return all_words(self.alphabet, self.max_order)
-
-    def words_of_length(self, m):
-        return _cartesian(self.alphabet, repeat=m)
 
     def map_values(self, fn):
         table = {w: _exact(fn(v)) for w, v in self._table.items()}
@@ -309,43 +308,38 @@ def _product_at(left, right, m, q, factors):
 
 
 def prelie_product(alpha, beta):
-    """The left pre-Lie product of two functionals on the same space.
+    """The left pre-Lie product of two functionals on the same space: the
+    first term of the series, L_alpha(beta).
 
     Vanishes on words of length < 3.
     """
     _require_same_space(alpha, beta)
-    q = len(alpha.alphabet)
-    arows, brows, aden, bden = [None], [None], [1], [1]
-    table = {}
-    for (m, words, avals), (_, _, bvals) in zip(_strata(alpha), _strata(beta)):
-        if m < alpha.max_order:  # no product reads the top length
-            _push(arows, aden, avals)
-            _push(brows, bden, bvals)
-        den, factors = _factors(aden, bden, m, m - 2)
-        row = _product_at(arows, brows, m, q, factors)
-        table.update(zip(words, [Fraction(v, den) for v in row]))
-    return Functional._from_table(alpha.alphabet, alpha.max_order, table)
+    return _series(alpha, beta, lambda n: int(n == 1))
 
 
 def _series(left, kappa, coeff):
-    # kappa + sum over n >= 1 of coeff(n) times the n-fold left product
-    # L_left^n(kappa), filled one word length at a time.  Each product cuts a
-    # non-empty inner factor out of a word whose two outer parts are
-    # non-empty, so L^n vanishes on words shorter than n + 2: length m needs
-    # n = 1..m-2 only, and L^n at length m reads L^(n-1) on lengths >= n + 1,
-    # that is inner factors of length <= m - n - 1.  Length m reads every
-    # table only on shorter lengths, which are already final, so each length
-    # is filled as whole rows.  With left=None the left factor is the series
-    # itself; length m reads it on lengths <= m-2.
+    # the sum over n >= 0 of coeff(n) times the n-fold left product
+    # L_left^n(kappa), with L^0(kappa) = kappa, filled one word length at a
+    # time.  Each product cuts a non-empty inner factor out of a word whose
+    # two outer parts are non-empty, so L^n vanishes on words shorter than
+    # n + 2: length m needs n <= m-2 only, and L^n at length m reads
+    # L^(n-1) on lengths >= n + 1, that is inner factors of length
+    # <= m - n - 1.  Length m reads every table only on shorter lengths,
+    # which are already final, so each length is filled as whole rows.  No
+    # power past the last nonzero weight is computed.  With left=None the
+    # left factor is the series itself; length m reads it on lengths <= m-2.
     #
     # Everything runs on integer rows over one denominator per length:
-    # kden[m] for kappa, lden[m] for the left factor, dens[n][m] for L^n.
-    # The output at length m is over the lcm of kden[m] and of
-    # den(coeff(n)) * dens[n][m], and each output word builds one Fraction.
-    # No product reads the top length, so no powers are kept there.
+    # dens[n][m] for L^n, so dens[0] is kappa's, and lden[m] for the left
+    # factor.  The output at length m is over the lcm of den(coeff(n)) *
+    # dens[n][m] for the nonzero weights, and each output word builds one
+    # Fraction.  No product reads the top length, so no powers are kept
+    # there.
     n_max = kappa.max_order
     q = len(kappa.alphabet)
-    coeffs = [coeff(n) for n in range(n_max - 1)]
+    coeffs = [coeff(n) for n in range(n_max)]
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
     out = {}
     krows, kden = [None], [1]
     # the left factor's values, length by length; None when it is kappa or
@@ -358,8 +352,8 @@ def _series(left, kappa, coeff):
         if left is not None:
             lvals = (values for _, _, values in _strata(left))
     # powers[n][m]: the row of L^n(kappa) at length m, below the top length
-    powers = [krows] + [[None] * n_max for _ in range(n_max - 2)]
-    dens = [kden] + [[0] * n_max for _ in range(n_max - 2)]
+    powers = [krows] + [[None] * n_max for _ in coeffs[1:]]
+    dens = [kden] + [[0] * n_max for _ in coeffs[1:]]
     for m, words, values in _strata(kappa):
         top = m == n_max
         _push(krows, kden, values)
@@ -368,16 +362,16 @@ def _series(left, kappa, coeff):
         # L^n at length m for n = 1..m-2; at the top length it is not kept,
         # so only the products with a nonzero weight are needed there, and
         # each is added to the output and dropped before the next is filled
-        steps = [
+        steps = [(0, kden[m], None)] + [
             (n, *_factors(lden, dens[n - 1], m, m - n - 1))
-            for n in range(1, m - 1)
+            for n in range(1, min(m - 1, len(coeffs)))
             if not top or coeffs[n]
         ]
-        out_den = lcm(kden[m], *(coeffs[n].denominator * den for n, den, _ in steps))
-        total = [v * (out_den // kden[m]) for v in krows[m]]
+        out_den = lcm(*(coeffs[n].denominator * den for n, den, _ in steps if coeffs[n]))
+        total = [0] * q ** m
         for n, den, factors in steps:
-            power = _product_at(lrows, powers[n - 1], m, q, factors)
-            if not top:
+            power = krows[m] if n == 0 else _product_at(lrows, powers[n - 1], m, q, factors)
+            if n and not top:
                 dens[n][m] = den
                 powers[n][m] = power
             # L^n(w) enters the output's numerator times coeff(n) * out_den / den

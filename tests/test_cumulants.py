@@ -374,7 +374,7 @@ class TestCachedTerms:
     @staticmethod
     def _fresh_caches(monkeypatch):
         # empty table caches for one test, so no earlier table is reused
-        for name in ("_nc_terms", "_grouped", "_terms", "_omega_of"):
+        for name in ("_grouped", "_terms", "_omega_of"):
             original = getattr(cumulants, name).__wrapped__
             monkeypatch.setattr(cumulants, name, lru_cache(maxsize=None)(original))
 
@@ -400,7 +400,6 @@ class TestCachedTerms:
         # entry per order, and one omega per distinct nesting tree
         self._fresh_caches(monkeypatch)
         convert(CumulantFamily("free", _pair_cumulant(11)), "monotone")
-        assert cumulants._nc_terms.cache_info().currsize == 11
         assert cumulants._grouped.cache_info().currsize == 11
         assert cumulants._terms.cache_info().currsize == 11
         assert cumulants._omega_of.cache_info().currsize == 112

@@ -154,6 +154,24 @@ class TestSuites:
         assert len(reports) >= 6
         assert all(r["status"] == "pass" for r in reports)
 
+    def test_roundtrip_check_names(self):
+        # the report names and their order, which the verify report prints
+        names = [r["check"] for r in oracle.suite_roundtrips(max_order=3)]
+        assert names == [
+            "free-monotone-free",
+            "monotone-free-monotone",
+            "boolean-monotone-boolean",
+            "monotone-boolean-monotone",
+            "free-boolean-free",
+            "boolean-free-boolean",
+            "free-moments-free",
+            "moments-free-moments",
+            "boolean-moments-boolean",
+            "moments-boolean-moments",
+            "monotone-moments-monotone",
+            "moments-monotone-moments",
+        ]
+
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("nope")

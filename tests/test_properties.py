@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from nccumulants import partitions
 from nccumulants.cumulants import CUMULANT_KINDS, KINDS, CumulantFamily, convert
 from nccumulants.partitions import NCPartition
-from nccumulants.prelie import Functional, all_words, prelie_product
+from nccumulants.prelie import Functional, prelie_product
 
 _SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -23,10 +23,16 @@ _values = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 @st.composite
 def _functionals(draw, alphabets, max_orders):
+    # each word is drawn letter by letter, after its length, which is drawn
+    # with weight q^m: every word is as likely as any other, and a word
+    # shrinks letter by letter, not toward the start of a list of all words
     alphabet = draw(alphabets)
     max_order = draw(max_orders)
-    words = list(all_words(alphabet, max_order))
-    values = draw(st.dictionaries(st.sampled_from(words), _values, max_size=len(words)))
+    lengths = [m for m in range(1, max_order + 1) for _ in range(len(alphabet) ** m)]
+    words = st.sampled_from(lengths).flatmap(
+        lambda m: st.lists(st.sampled_from(alphabet), min_size=m, max_size=m).map(tuple)
+    )
+    values = draw(st.dictionaries(words, _values, max_size=len(lengths)))
     return Functional(alphabet, max_order, values)
 
 

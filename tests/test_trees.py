@@ -11,7 +11,6 @@ from nccumulants.trees import (
     RootedTree,
     TreeParseError,
     bernoulli,
-    encode_tree,
     forest_factorial,
     leaf_removals,
     monotone_count,
@@ -88,8 +87,7 @@ class TestCodec:
     def test_roundtrip_is_canonical(self):
         for s in ("[]", "[[][]]", "[[[]][]]", "[[][][[]]]"):
             t = parse_tree(s)
-            assert parse_tree(encode_tree(t)) == t
-            assert encode_tree(parse_tree(encode_tree(t))) == encode_tree(t)
+            assert parse_tree(t.encoding) == t
 
     @pytest.mark.parametrize("bad", ["", "  ", "[", "]", "[[]", "[]]", "][", "x", "[a]"])
     def test_parse_errors(self, bad):
@@ -312,3 +310,15 @@ class TestCensus:
 
     def test_trees_up_to(self):
         assert [t.size for t in trees_up_to(3)] == [1, 2, 3, 3]
+
+    def test_size_cap(self, monkeypatch):
+        # sizes above the cap are refused before any tree is built
+        assert len(trees_of_size(12)) == 4766
+        built = []
+        monkeypatch.setattr(trees, "_child_multisets", lambda *args: built.append(args))
+        for n in (13, 15, 10**9):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                trees_of_size(n)
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                trees_up_to(n)
+        assert built == []
