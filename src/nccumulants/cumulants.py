@@ -34,12 +34,12 @@ by the block; every row's block product then looks its blocks up there, so
 no subword is built or hashed per row.
 
 The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
-pure.  They keep, for every order n that a conversion reached:
-``_grouped(n)``, the rows of ``_nc_terms(n)`` (one per non-crossing
+pure.  They keep, for every order n that a conversion or ``expansion_terms``
+reached: ``_grouped(n)``, the rows of ``_nc_terms(n)`` (one per non-crossing
 partition, Catalan(n) rows, not cached) grouped by shape and coefficient
 input; ``_terms(direction, n)``, one integer table per direction; and
-``_omega_of``, one omega per distinct nesting tree (112 trees up to order
-11).  ``partitions._nc_blocks`` keeps the enumerated blocks themselves.
+``partitions._nc_blocks``, the enumerated blocks.  ``trees.omega`` keeps one
+omega per distinct nesting tree (112 up to order 11), read across orders.
 """
 
 from fractions import Fraction
@@ -48,7 +48,7 @@ from itertools import chain, compress
 from math import lcm, prod
 
 from . import partitions, trees
-from .prelie import Functional, _push, _strata
+from .prelie import Functional, _common, _push, _strata
 
 KINDS = ("moment", "free", "boolean", "monotone")
 CUMULANT_KINDS = ("free", "boolean", "monotone")
@@ -98,11 +98,13 @@ def _nc_terms(n):
     # parent array per partition.  Children follow their parents in block
     # order, so one reverse sweep accumulates the subtree sizes, whose
     # product is the factorial, and the canonical key of each subtree: the
-    # sorted tuple of its children's keys.  A partition is an interval one
-    # exactly when no block nests in another, since a block with a gap
-    # surrounds the blocks in that gap.
+    # sorted tuple of its children's keys, under which omega is computed
+    # once per table (trees.omega caches it across orders).  A partition is
+    # an interval one exactly when no block nests in another, since a block
+    # with a gap surrounds the blocks in that gap.
     partitions._check_enum_n(n)
     rows = []
+    omegas = {}
     for blocks in partitions._nc_blocks(tuple(range(1, n + 1))):
         parents = partitions._parents(blocks)
         sizes = [1] * len(blocks)
@@ -114,16 +116,12 @@ def _nc_terms(n):
             kids = [[] for _ in blocks]
             for j in range(len(blocks) - 1, 0, -1):
                 kids[parents[j]].append(tuple(sorted(kids[j])))
-            om = _omega_of(tuple(sorted(kids[0])))
+            key = tuple(sorted(kids[0]))
+            om = omegas.get(key)
+            if om is None:
+                om = omegas[key] = trees.omega(_tree_of(key))
         rows.append((blocks, len(blocks), prod(sizes), parents.count(None) == len(blocks), om))
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _omega_of(key):
-    # omega of the rooted tree whose canonical key is `key`, computed once
-    # per distinct tree
-    return trees.omega(_tree_of(key))
 
 
 def _tree_of(key):
@@ -244,12 +242,8 @@ def _partition_sum(src, direction, invert=False):
         _push(rows, dens, [0] * len(words) if invert else values)
         num.update(zip(words, rows[m]))
         den, shapes, distinct = _terms(direction, m)
-        products = [prod(dens[k] for k in shape) for shape, _, _ in shapes]
-        big = lcm(*products)
-        shapes = [
-            (all_blocks, nums, big // p)
-            for (_, all_blocks, nums), p in zip(shapes, products)
-        ]
+        big, lifts = _common([prod(dens[k] for k in shape) for shape, _, _ in shapes])
+        shapes = [(all_blocks, nums, lift) for (_, all_blocks, nums), lift in zip(shapes, lifts)]
         out_den = den * big
         sums = []
         for w, v in zip(words, values):
@@ -381,9 +375,13 @@ def expansion_terms(from_kind, to_kind, n):
         raise ValueError(
             f"unknown conversion {from_kind!r} -> {to_kind!r}; kinds are {KINDS}"
         )
-    rows = []
-    for blocks, *inputs in _nc_terms(n):
-        c = _coefficient((from_kind, to_kind), *inputs)
-        if c is not None:
-            rows.append((partitions.NCPartition._wrap(blocks), c))
-    return rows
+    # checked first: a table cached before the bound was lowered is refused
+    partitions._check_enum_n(n)
+    keys, groups = _grouped(n)
+    cs = [_coefficient((from_kind, to_kind), *key) for key in keys]
+    coeffs = {b: cs[i] for _, blocks, idx in groups for b, i in zip(blocks, idx)}
+    return [
+        (partitions.NCPartition._wrap(blocks), coeffs[blocks])
+        for blocks in partitions._nc_blocks(tuple(range(1, n + 1)))
+        if coeffs[blocks] is not None
+    ]

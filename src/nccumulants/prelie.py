@@ -28,7 +28,7 @@ Tables are total and in ``all_words`` order, shortest first; the codes rely
 on it, and every constructor keeps it.  Functionals are immutable after
 construction and all operations are pure.  The module keeps no cache; the
 closed sums in ``cumulants`` read and lift their input through the same
-``_strata`` and ``_push``.
+``_strata``, ``_push`` and ``_common``.
 """
 
 import re
@@ -256,13 +256,10 @@ def _strata(f):
         yield m, list(islice(words, q ** m)), list(islice(values, q ** m))
 
 
-def _factors(left_dens, right_dens, m, inner_max):
-    # a product at length m with inner factors of length 1..inner_max is a
-    # sum of numerators over left_dens[k] * right_dens[m - k]; return the lcm
-    # of those products and the factor lifting each one to it
-    products = [left_dens[k] * right_dens[m - k] for k in range(1, inner_max + 1)]
-    den = lcm(*products)
-    return den, [den // p for p in products]
+def _common(dens):
+    # the lcm of some denominators and the factor lifting each one to it
+    den = lcm(*dens)
+    return den, [den // d for d in dens]
 
 
 def _product_at(left, right, m, q, factors):
@@ -363,7 +360,7 @@ def _series(left, kappa, coeff):
         # so only the products with a nonzero weight are needed there, and
         # each is added to the output and dropped before the next is filled
         steps = [(0, kden[m], None)] + [
-            (n, *_factors(lden, dens[n - 1], m, m - n - 1))
+            (n, *_common([lden[k] * dens[n - 1][m - k] for k in range(1, m - n)]))
             for n in range(1, min(m - 1, len(coeffs)))
             if not top or coeffs[n]
         ]

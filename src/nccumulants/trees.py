@@ -19,10 +19,9 @@ unbounded and live as long as the process:
   distinct tree or subtree reached (the factorial an int, the counts a
   tuple of |t| + 1 ints);
 - ``omega``, keyed on a tree: one ``Fraction`` per distinct tree it is
-  called on; a conversion calls it once per distinct nesting tree (112
+  called on; each order's partition table calls it once per distinct
+  nesting tree of that order, so it takes the repeats across orders (112
   trees up to order 11);
-- ``_overlay_count``, keyed on three ints at most the largest tree size n:
-  at most n^3 entries;
 - ``bernoulli``, keyed on n: one entry per index up to the largest asked;
 - ``trees_of_size``, keyed on n: every tree of each size up to n (1, 1, 2,
   4, 9, 20, 48, 115, 286, 719 trees for n = 1..10), so it grows
@@ -194,17 +193,10 @@ def monotone_count(t):
     return factorial(t.size) // tree_factorial(t)
 
 
-@lru_cache(maxsize=None)
-def _overlay_count(k1, k2, k):
-    # ways to choose A, B subsets of [k] with |A|=k1, |B|=k2, A union B = [k]
-    return factorial(k) // (
-        factorial(k - k1) * factorial(k - k2) * factorial(k1 + k2 - k)
-    )
-
-
 def _merge_counts(a, b):
     # a[k], b[k]: strict surjective labeling counts of two independent vertex
-    # sets; returns the counts for their disjoint union.
+    # sets; returns the counts for their disjoint union.  Sets A, B of k1, k2
+    # classes cover [k] as: A any k1, B the other k - k1 and all but k - k2 of A.
     out = [0] * (len(a) + len(b) - 1)
     for k1, c1 in enumerate(a):
         if not c1:
@@ -213,7 +205,7 @@ def _merge_counts(a, b):
             if not c2:
                 continue
             for k in range(max(k1, k2), k1 + k2 + 1):
-                out[k] += c1 * c2 * _overlay_count(k1, k2, k)
+                out[k] += c1 * c2 * comb(k, k1) * comb(k1, k - k2)
     return tuple(out)
 
 

@@ -1,9 +1,11 @@
+import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from nccumulants import cumulants
+from nccumulants import cli, cumulants, partitions, trees
 from nccumulants.cumulants import (
     CumulantFamily,
     boolean_from_free,
@@ -309,8 +311,30 @@ class TestExpansionTerms:
             ("free", "monotone", monotone_from_free),
             ("boolean", "free", free_from_boolean),
             ("monotone", "boolean", boolean_from_monotone),
+            ("free", "boolean", boolean_from_free),
+            ("boolean", "monotone", monotone_from_boolean),
+            ("monotone", "free", free_from_monotone),
+            ("free", "moment", lambda f: moments_from("free", f)),
+            ("boolean", "moment", lambda f: moments_from("boolean", f)),
+            ("monotone", "moment", lambda f: moments_from("monotone", f)),
         ):
             assert fn(src)._table == _plain_sum(src, from_kind, to_kind)
+
+    @pytest.mark.parametrize("direction", sorted(cumulants._COEFF), ids="-".join)
+    def test_rows_match_table_rows(self, direction):
+        # the conversions and expansion_terms share the grouped table, so
+        # its grouping is checked here against rows built straight from
+        # _nc_terms and _COEFF: a reducible row enters no sum between
+        # cumulants
+        coeff = cumulants._COEFF[direction]
+        for n in range(1, 8):
+            expected = Counter(
+                (partitions.NCPartition._wrap(blocks).text(), Fraction(coeff(*inputs)))
+                for blocks, *inputs in cumulants._nc_terms(n)
+                if inputs[3] is not None or direction[1] == "moment"
+            )
+            rows = Counter((p.text(), c) for p, c in expansion_terms(*direction, n))
+            assert rows == expected, n
 
     def test_moment_expansion(self):
         rows = {p.text(): c for p, c in expansion_terms("monotone", "moment", 3)}
@@ -331,8 +355,6 @@ class TestCachedTerms:
     def test_forest_factorials_match_tree_route(self):
         # the cached per-partition factorial is computed from the parent
         # array; it must agree with the factorial of the built nesting forest
-        from nccumulants import partitions, trees
-
         for n in range(1, 8):
             cached = {row[0]: row[2] for row in cumulants._nc_terms(n)}
             for p in partitions.enumerate_nc(n):
@@ -340,8 +362,6 @@ class TestCachedTerms:
                 assert cached[p.blocks] == expected, p.text()
 
     def test_interval_flags_match_predicate(self):
-        from nccumulants import partitions
-
         for n in range(1, 7):
             cached = {row[0]: row[3] for row in cumulants._nc_terms(n)}
             for p in partitions.enumerate_nc(n):
@@ -350,7 +370,7 @@ class TestCachedTerms:
     def test_omega_matches_recursive_oracle(self):
         # the table's omega, from a tree key built off the parent array,
         # against the Bernoulli recursion over block subsets
-        from nccumulants import oracle, partitions
+        from nccumulants import oracle
 
         for n in range(1, 9):
             for blocks, _, _, _, om in cumulants._nc_terms(n):
@@ -363,8 +383,6 @@ class TestCachedTerms:
     def test_omega_matches_nesting_tree(self):
         # the table no longer builds nesting forests: the tree route is an
         # independent check of its keys
-        from nccumulants import partitions, trees
-
         for n in range(1, 11):
             for blocks, _, _, _, om in cumulants._nc_terms(n):
                 if om is not None:
@@ -374,16 +392,15 @@ class TestCachedTerms:
     @staticmethod
     def _fresh_caches(monkeypatch):
         # empty table caches for one test, so no earlier table is reused
-        for name in ("_grouped", "_terms", "_omega_of"):
-            original = getattr(cumulants, name).__wrapped__
-            monkeypatch.setattr(cumulants, name, lru_cache(maxsize=None)(original))
+        for owner, name in ((cumulants, "_grouped"), (cumulants, "_terms"), (trees, "omega")):
+            original = getattr(owner, name).__wrapped__
+            monkeypatch.setattr(owner, name, lru_cache(maxsize=None)(original))
 
     def test_enumeration_bound_on_table_path(self, monkeypatch):
         # the tables read the enumeration's blocks directly; the bound is
         # still checked, before anything is enumerated
-        from nccumulants import partitions
-
         self._fresh_caches(monkeypatch)
+        cumulants._grouped(9)
         enumerated = []
         monkeypatch.setattr(partitions, "_nc_blocks", lambda points: enumerated.append(points))
         monkeypatch.setenv("NC_CUMULANTS_MAX_N", "8")
@@ -393,6 +410,9 @@ class TestCachedTerms:
         for x, y in (("free", "moment"), ("moment", "monotone"), ("boolean", "free")):
             with pytest.raises(ValueError, match="enumeration bound"):
                 convert(CumulantFamily(x, src), y)
+        # a table cached before the bound was lowered is not read past it
+        with pytest.raises(ValueError, match="enumeration bound"):
+            expansion_terms("free", "monotone", 9)
         assert enumerated == []
 
     def test_cache_sizes(self, monkeypatch):
@@ -402,7 +422,27 @@ class TestCachedTerms:
         convert(CumulantFamily("free", _pair_cumulant(11)), "monotone")
         assert cumulants._grouped.cache_info().currsize == 11
         assert cumulants._terms.cache_info().currsize == 11
-        assert cumulants._omega_of.cache_info().currsize == 112
+        assert trees.omega.cache_info().currsize == 112
+
+    def test_show_order_builds_each_table_once(self, monkeypatch, tmp_path):
+        # --show-order reads the table the conversion groups, so no order
+        # is built twice
+        self._fresh_caches(monkeypatch)
+        built = Counter()
+        nc_terms = cumulants._nc_terms
+
+        def counting(n):
+            built[n] += 1
+            return nc_terms(n)
+
+        monkeypatch.setattr(cumulants, "_nc_terms", counting)
+        m = 6
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(CumulantFamily("free", _pair_cumulant(m)).to_json()))
+        argv = ["convert", "--from", "free", "--to", "monotone", "--input", str(src)]
+        argv += ["--output", str(tmp_path / "out.json"), "--show-order", str(m)]
+        assert cli.main(argv) == 0
+        assert built == Counter(range(1, m + 1))
 
 
 def _primes(count):
