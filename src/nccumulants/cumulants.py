@@ -22,11 +22,9 @@ loop sums the block products.
 
 That loop runs on integers.  Each direction's order-n coefficients are
 numerators over one common denominator, grouped by the sorted block sizes
-of their partitions; the values read at each length are numerators over
-that length's common denominator, read and lifted by ``prelie._strata`` and
-``prelie._push`` as in the pre-Lie series.  A word's sum is then an integer
-over a denominator fixed per length, and each output word builds one
-Fraction.
+of their partitions; the values are read from the input's own integer rows
+(see ``prelie.Functional``), so a word's sum is an integer over a
+denominator fixed per length, and each output row is reduced once.
 
 Each table also lists its distinct blocks, at most 2^n - 1 of them.  A word
 first reads the value of each distinct block once into a small table keyed
@@ -44,11 +42,11 @@ omega per distinct nesting tree (112 up to order 11), read across orders.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain, compress, product
 from math import lcm, prod
 
 from . import partitions, trees
-from .prelie import Functional, _common, _push, _strata
+from .prelie import Functional, _common, _reduced
 
 KINDS = ("moment", "free", "boolean", "monotone")
 CUMULANT_KINDS = ("free", "boolean", "monotone")
@@ -218,12 +216,12 @@ def _partition_sum(src, direction, invert=False):
     # which read only shorter words, solved already.  out(w) reads as 0 while
     # they are summed, so the one-block row drops out as a zero product.
     #
-    # The sum runs on integers.  The values read at length k (the input, or
-    # the outputs solved so far) are numerators over dens[k], lifted by
-    # prelie._push; a row of shape (k1, k2, ...) is then a numerator over
-    # den * dens[k1] * dens[k2] * ..., so each shape's integer sum is brought
-    # to the lcm `big` of those products by one factor, and each word builds
-    # one Fraction.
+    # The sum runs on integers.  The values read at length k (the input's
+    # rows, or the outputs solved so far) are numerators over dens[k]; a row
+    # of shape (k1, k2, ...) is then a numerator over den * dens[k1] *
+    # dens[k2] * ..., so each shape's integer sum is brought to the lcm
+    # `big` of those products by one factor, and each length's output row
+    # is reduced once.
     #
     # Each word reads the value of every distinct block of the table once,
     # into `vals` keyed by the block; the rows then look their blocks up
@@ -234,19 +232,21 @@ def _partition_sum(src, direction, invert=False):
     # so the enumeration bound is checked for the longest length before any
     # table is built.
     partitions._check_enum_n(src.max_order)
-    out = {}
     num = {}
-    rows, dens = [None], [1]
-    for m, words, values in _strata(src):
-        # in an inversion the outputs of length m read as 0 until solved
-        _push(rows, dens, [0] * len(words) if invert else values)
+    out_rows, out_dens = [[0]], [1]
+    rows, dens = (out_rows, out_dens) if invert else (src._rows, src._dens)
+    for m in range(1, src.max_order + 1):
+        words = list(product(src.alphabet, repeat=m))
+        if invert:  # the outputs of length m read as 0 until solved
+            out_rows.append([0] * len(words))
+            out_dens.append(1)
         num.update(zip(words, rows[m]))
         den, shapes, distinct = _terms(direction, m)
         big, lifts = _common([prod(dens[k] for k in shape) for shape, _, _ in shapes])
         shapes = [(all_blocks, nums, lift) for (_, all_blocks, nums), lift in zip(shapes, lifts)]
         out_den = den * big
         sums = []
-        for w, v in zip(words, values):
+        for w in words:
             padded = (None,) + w  # a dummy letter at 0: 1-based blocks index it
             vals = {b: num[tuple([padded[i] for i in b])] for b in distinct}
             total = 0
@@ -257,15 +257,17 @@ def _partition_sum(src, direction, invert=False):
                     if term is not None:
                         part += term
                 total += part * factor
-            if invert:  # out(w) = src(w) - total / out_den
-                total = v.numerator * out_den - total * v.denominator
-            sums.append(Fraction(total, v.denominator * out_den if invert else out_den))
-        out.update(zip(words, sums))
+            sums.append(total)
+        if invert:  # out(w) = src(w) - total / out_den
+            src_den = src._dens[m]
+            sums = [v * out_den - t * src_den for v, t in zip(src._rows[m], sums)]
+            out_den *= src_den
+        row, out_den = _reduced(sums, out_den)
+        # in an inversion this replaces the zero row that length m read
+        out_rows[m:], out_dens[m:] = [row], [out_den]
         if invert:
-            del rows[m], dens[m]
-            _push(rows, dens, sums)
-            num.update(zip(words, rows[m]))
-    return Functional._from_table(src.alphabet, src.max_order, out)
+            num.update(zip(words, row))
+    return src._with_rows(zip(out_rows, out_dens))
 
 
 def boolean_from_free(kappa):

@@ -1,45 +1,36 @@
 """Exact-rational multilinear functionals on words and their pre-Lie calculus.
 
-A ``Functional`` is a total table of Fraction values on all words of length
-1..max_order over a finite alphabet: the free-vector-space view in which
-words are the multilinear basis.  On that space this module implements the
-left pre-Lie product L_alpha(beta) (remove an inner non-empty factor of the
-word, evaluate alpha on it and beta on what remains, with an overall minus
-sign) as the first term of one series of iterated left products, the sum
-over n >= 0 of c_n L^n(kappa).  Four choices of left factor and weights give
-the product itself (c_n = [n = 1]), the Bernoulli-weighted fixed-point
+A ``Functional`` is a total table of exact rational values on all words of
+length 1..max_order over a finite alphabet: the free-vector-space view in
+which words are the multilinear basis.  On that space this module implements
+the left pre-Lie product L_alpha(beta) (remove an inner non-empty factor of
+the word, evaluate alpha on it and beta on what remains, with an overall
+minus sign) as the first term of one series of iterated left products, the
+sum over n >= 0 of c_n L^n(kappa).  Four choices of left factor and weights
+give the product itself (c_n = [n = 1]), the Bernoulli-weighted fixed-point
 expansion ``magnus``, its compositional inverse ``magnus_inverse``, and the
 exponential of a left-multiplication operator ``exp_left``.
 
-The series runs on integer rows.  Each table read at length
-k is a list of integer numerators over one common denominator for that
-length, indexed by the word's code: its position among the words of length
-k, which is the word read in base q, first letter most significant.  A
-product fills a whole length m at once: for each inner length k and cut
-position, the words w1 w2 w3 with |w2| = k read the left row of length k
-and one slice of the right row of length m - k, so the sum is slice
-arithmetic over the shorter outer part, with the lift to the common
-denominator folded into the left row.  Length m reads only shorter
-lengths, which are already final, so the series fills every power, and
-its own left factor in ``magnus``, one length at a time.  Each output word
-builds one Fraction.
+The series runs on the integer rows a ``Functional`` stores (see its
+docstring).  A product fills a whole length m at once: for each inner
+length k and cut position, the words w1 w2 w3 with |w2| = k read the left
+row of length k and one slice of the right row of length m - k, so the sum
+is slice arithmetic over the shorter outer part, with the lift to the
+common denominator folded into the left row.  Length m reads only shorter
+lengths, which are already final, so the series fills every power, and its
+own left factor in ``magnus``, one length at a time.
 
-Tables are total and in ``all_words`` order, shortest first; the codes rely
-on it, and every constructor keeps it.  Functionals are immutable after
-construction and all operations are pure.  The module keeps no cache; the
-closed sums in ``cumulants`` read and lift their input through the same
-``_strata``, ``_push`` and ``_common``.
+Functionals are immutable and all operations are pure.  The module keeps
+no cache; the closed sums in ``cumulants`` read the same rows in place.
 """
 
 import re
 from fractions import Fraction
-from itertools import islice, product as _cartesian
-from math import factorial, lcm
+from itertools import chain, product as _cartesian
+from math import factorial, gcd, lcm
 from operator import add
 
 from .trees import bernoulli
-
-_ZERO = Fraction(0)
 
 # the most words a table may hold; {a,b} at order 12 is 8,190 words
 _MAX_WORDS = 100_000
@@ -71,9 +62,18 @@ class Functional:
     total tables.  Values are exact rationals: anything ``Fraction`` reads
     exactly (ints, Fractions, "p/q" strings); a float or a bool raises
     ``ValueError``, here and in ``map_values`` and ``scale``.
+
+    The table is stored one length at a time: ``_rows[m]`` lists integer
+    numerators over the one denominator ``_dens[m]``, in lowest terms, so
+    equal functionals store equal rows.  A word of length m sits at its
+    code, the word read in base q = len(alphabet) with the first letter most
+    significant, which is its position among the words of length m in
+    ``words()`` order.  Row 0 is a placeholder: the empty word is not in the
+    domain.  Both kernels compute on these rows in place, and ``Fraction``
+    values are built only when a value is read.
     """
 
-    __slots__ = ("alphabet", "max_order", "_table")
+    __slots__ = ("alphabet", "max_order", "_rows", "_dens")
 
     def __init__(self, alphabet, max_order, values=None):
         alphabet = tuple(alphabet)
@@ -87,37 +87,45 @@ class Functional:
         if isinstance(max_order, bool) or not isinstance(max_order, int) or max_order < 1:
             raise ValueError("max_order must be a positive integer")
         _check_domain_size(len(alphabet), max_order)
-        table = {w: _ZERO for w in all_words(alphabet, max_order)}
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "max_order", max_order)
-        object.__setattr__(self, "_table", table)
-        if values:
-            for w, v in values.items():
-                w = tuple(w)
-                if w not in table:
-                    raise ValueError(f"word {w!r} is not in the table's domain")
-                table[w] = _exact(v)
+        table = [[0] * len(alphabet) ** m for m in range(max_order + 1)]
+        for w, v in (values or {}).items():
+            m, code = self._locate(w)
+            table[m][code] = _exact(v)
+        rows, dens = map(list, zip(*map(_lift, table)))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_dens", dens)
 
-    @classmethod
-    def _from_table(cls, alphabet, max_order, table):
-        # trusted: `table` must be total on all words of length <= max_order,
-        # in the order of all_words (shortest first): _strata reads a word's
-        # position in its length as its code
-        self = object.__new__(cls)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "max_order", max_order)
-        object.__setattr__(self, "_table", table)
-        return self
+    def _with_rows(self, pairs):
+        # trusted: a functional on self's space whose row of length m is the
+        # m-th (numerators, denominator) pair, in lowest terms
+        new = object.__new__(Functional)
+        rows, dens = map(list, zip(*pairs))
+        for name, v in zip(self.__slots__, (self.alphabet, self.max_order, rows, dens)):
+            object.__setattr__(new, name, v)
+        return new
 
     def __setattr__(self, name, value):
         raise AttributeError("Functional is immutable")
 
+    def _locate(self, word):
+        # the length and code of a word in the domain
+        word = tuple(word)
+        if 0 < len(word) <= self.max_order:
+            code = 0
+            try:
+                for a in word:
+                    code = code * len(self.alphabet) + self.alphabet.index(a)
+                return len(word), code
+            except ValueError:  # a letter outside the alphabet
+                pass
+        raise ValueError(f"word {word!r} is not in the table's domain")
+
     def value(self, word):
         """The stored value on ``word``; raises for words outside the domain."""
-        try:
-            return self._table[tuple(word)]
-        except KeyError:
-            raise ValueError(f"word {tuple(word)!r} is not in the table's domain") from None
+        m, code = self._locate(word)
+        return Fraction(self._rows[m][code], self._dens[m])
 
     __getitem__ = value
 
@@ -126,40 +134,45 @@ class Functional:
         return all_words(self.alphabet, self.max_order)
 
     def map_values(self, fn):
-        table = {w: _exact(fn(v)) for w, v in self._table.items()}
-        return Functional._from_table(self.alphabet, self.max_order, table)
+        return self._with_rows([([0], 1)] + [
+            _lift([_exact(fn(Fraction(v, d))) for v in row])
+            for row, d in zip(self._rows[1:], self._dens[1:])
+        ])
 
     def add(self, other):
         _require_same_space(self, other)
-        table = {w: v + other._table[w] for w, v in self._table.items()}
-        return Functional._from_table(self.alphabet, self.max_order, table)
+        pairs = []
+        for a, da, b, db in zip(self._rows, self._dens, other._rows, other._dens):
+            d, (fa, fb) = _common([da, db])
+            pairs.append(_reduced([x * fa + y * fb for x, y in zip(a, b)], d))
+        return self._with_rows(pairs)
 
     def negate(self):
-        return self.map_values(lambda v: -v)
+        return self.scale(-1)
 
     def scale(self, c):
         c = _exact(c)
-        return self.map_values(lambda v: c * v)
+        return self._with_rows(
+            _reduced([c.numerator * v for v in row], c.denominator * d)
+            for row, d in zip(self._rows, self._dens)
+        )
 
     __add__ = add
+    __neg__ = negate
 
     def __sub__(self, other):
         return self.add(other.negate())
 
-    def __neg__(self):
-        return self.negate()
-
     def is_zero(self):
-        return all(not v for v in self._table.values())
+        return not any(map(any, self._rows))
 
     def to_json(self):
         """JSON form with "p/q" value strings; zero entries are omitted."""
+        values = (Fraction(v, d) for row, d in zip(self._rows[1:], self._dens[1:]) for v in row)
         return {
             "alphabet": list(self.alphabet),
             "max_order": self.max_order,
-            "values": {
-                word_text(w): str(v) for w, v in sorted(self._table.items()) if v
-            },
+            "values": {word_text(w): str(v) for w, v in sorted(zip(self.words(), values)) if v},
         }
 
     @classmethod
@@ -179,15 +192,17 @@ class Functional:
         return cls(alphabet, max_order, values)
 
     def __eq__(self, other):
+        # rows in lowest terms are equal exactly when the values are
         return (
             isinstance(other, Functional)
             and self.alphabet == other.alphabet
             and self.max_order == other.max_order
-            and self._table == other._table
+            and self._dens == other._dens
+            and self._rows == other._rows
         )
 
     def __repr__(self):
-        nonzero = sum(1 for v in self._table.values() if v)
+        nonzero = sum(map(bool, chain.from_iterable(self._rows)))
         return (
             f"Functional(alphabet={self.alphabet!r}, max_order={self.max_order},"
             f" nonzero={nonzero})"
@@ -237,23 +252,18 @@ def _require_same_space(a, b):
         raise ValueError("functionals live on different alphabets or truncation orders")
 
 
-def _push(rows, dens, values):
-    # append the values of one length, in code order, to `rows` as integer
-    # numerators over their least common denominator, appended to `dens`
+def _lift(values):
+    # one length's rational values as integer numerators over the lcm of
+    # their denominators, which is in lowest terms already
     d = lcm(*(v.denominator for v in values))
-    dens.append(d)
-    rows.append([v.numerator * (d // v.denominator) for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _strata(f):
-    # the words of f's table one length at a time, shortest first, as the
-    # table's own key tuples, with their values.  Tables are in all_words
-    # order, so a word's position in its stratum is its code: base q, first
-    # letter most significant.
-    words, values = iter(f._table), iter(f._table.values())
-    q = len(f.alphabet)
-    for m in range(1, f.max_order + 1):
-        yield m, list(islice(words, q ** m)), list(islice(values, q ** m))
+def _reduced(row, den):
+    # a row of numerators over den, in lowest terms; an all-zero row is
+    # over 1
+    g = gcd(den, *row)
+    return ([v // g for v in row], den // g) if g > 1 else (row, den)
 
 
 def _common(dens):
@@ -326,60 +336,47 @@ def _series(left, kappa, coeff):
     # power past the last nonzero weight is computed.  With left=None the
     # left factor is the series itself; length m reads it on lengths <= m-2.
     #
-    # Everything runs on integer rows over one denominator per length:
-    # dens[n][m] for L^n, so dens[0] is kappa's, and lden[m] for the left
-    # factor.  The output at length m is over the lcm of den(coeff(n)) *
-    # dens[n][m] for the nonzero weights, and each output word builds one
-    # Fraction.  No product reads the top length, so no powers are kept
-    # there.
+    # Every table is read as integer rows over one denominator per length:
+    # dens[n][m] for L^n, so dens[0] is kappa's own.  The output at length
+    # m is over the lcm of den(coeff(n)) * dens[n][m] for the nonzero
+    # weights, reduced once.  No product reads the top length, so no powers
+    # are kept there.
     n_max = kappa.max_order
     q = len(kappa.alphabet)
     coeffs = [coeff(n) for n in range(n_max)]
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
-    out = {}
-    krows, kden = [None], [1]
-    # the left factor's values, length by length; None when it is kappa or
-    # the series itself, whose rows are pushed as they are filled
-    lvals = None
-    if left is kappa:
-        lrows, lden = krows, kden
-    else:
-        lrows, lden = [None], [1]
-        if left is not None:
-            lvals = (values for _, _, values in _strata(left))
+    out_rows, out_dens = [[0]], [1]
+    lrows, lden = (out_rows, out_dens) if left is None else (left._rows, left._dens)
     # powers[n][m]: the row of L^n(kappa) at length m, below the top length
-    powers = [krows] + [[None] * n_max for _ in coeffs[1:]]
-    dens = [kden] + [[0] * n_max for _ in coeffs[1:]]
-    for m, words, values in _strata(kappa):
+    powers = [kappa._rows] + [[None] * n_max for _ in coeffs[1:]]
+    dens = [kappa._dens] + [[0] * n_max for _ in coeffs[1:]]
+    for m in range(1, n_max + 1):
         top = m == n_max
-        _push(krows, kden, values)
-        if lvals is not None and not top:
-            _push(lrows, lden, next(lvals))
         # L^n at length m for n = 1..m-2; at the top length it is not kept,
         # so only the products with a nonzero weight are needed there, and
         # each is added to the output and dropped before the next is filled
-        steps = [(0, kden[m], None)] + [
+        steps = [(0, dens[0][m], None)] + [
             (n, *_common([lden[k] * dens[n - 1][m - k] for k in range(1, m - n)]))
             for n in range(1, min(m - 1, len(coeffs)))
             if not top or coeffs[n]
         ]
         out_den = lcm(*(coeffs[n].denominator * den for n, den, _ in steps if coeffs[n]))
-        total = [0] * q ** m
+        total = None
         for n, den, factors in steps:
-            power = krows[m] if n == 0 else _product_at(lrows, powers[n - 1], m, q, factors)
+            power = powers[0][m] if n == 0 else _product_at(lrows, powers[n - 1], m, q, factors)
             if n and not top:
                 dens[n][m] = den
                 powers[n][m] = power
             # L^n(w) enters the output's numerator times coeff(n) * out_den / den
             weight = coeffs[n].numerator * (out_den // (coeffs[n].denominator * den))
             if weight:
-                total = list(map(add, total, map(weight.__mul__, power)))
-        values = [Fraction(v, out_den) for v in total]
-        out.update(zip(words, values))
-        if left is None and not top:
-            _push(lrows, lden, values)
-    return Functional._from_table(kappa.alphabet, n_max, out)
+                terms = map(weight.__mul__, power)
+                total = list(terms) if total is None else list(map(add, total, terms))
+        row, den = _reduced(total or [0] * q ** m, out_den)
+        out_rows.append(row)
+        out_dens.append(den)
+    return kappa._with_rows(zip(out_rows, out_dens))
 
 
 def magnus(kappa):

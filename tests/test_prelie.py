@@ -7,6 +7,7 @@ import pytest
 
 from nccumulants import partitions
 from nccumulants import prelie as prelie_module
+from nccumulants.cumulants import KINDS, CumulantFamily, convert
 from nccumulants.oracle import random_functional
 from nccumulants.prelie import (
     Functional,
@@ -30,8 +31,9 @@ def _sub(f, w, block):
 def _integer_tables(fs):
     # the common denominator d of the functionals fs, and each one's values
     # as integer numerators over d
-    d = lcm(*(v.denominator for f in fs for v in f._table.values()))
-    return d, [{w: v.numerator * (d // v.denominator) for w, v in f._table.items()} for f in fs]
+    tables = [{w: f.value(w) for w in f.words()} for f in fs]
+    d = lcm(*(v.denominator for t in tables for v in t.values()))
+    return d, [{w: v.numerator * (d // v.denominator) for w, v in t.items()} for t in tables]
 
 
 def _block_values(nums, w, keys):
@@ -65,6 +67,8 @@ class TestFunctional:
             Functional(AB, 2, {("a", "a", "a"): 1})
         with pytest.raises(ValueError):
             Functional(AB, 2, {("c",): 1})
+        with pytest.raises(ValueError, match="not in the table's domain"):
+            Functional(AB, 2, {(): 1})
 
     def test_domain_size_limit(self):
         # the size is checked before the table is built, so the refusal is
@@ -101,6 +105,11 @@ class TestFunctional:
             f.value(("a", "a", "a"))
         with pytest.raises(ValueError):
             f.value(("c",))
+        # the empty word has length 0, whose placeholder row is no domain
+        with pytest.raises(ValueError, match="not in the table's domain"):
+            f.value(())
+        with pytest.raises(ValueError, match="not in the table's domain"):
+            f[()]
 
     def test_vector_ops(self):
         f = random_functional(AB, 3, 11)
@@ -142,6 +151,51 @@ class TestFunctional:
         assert word_text(("a", "b")) == "a,b"
         with pytest.raises(ValueError):
             word_from_text("a,,b")
+
+
+def _lowest_terms_inputs():
+    # rows that share a factor: all-even numerators over odd denominators,
+    # and a dense table with length 3 all zero
+    words = list(all_words(AB, 5))
+    even = {w: Fraction(2 * ((i * 7) % 9 - 4), (1, 3, 5)[i % 3]) for i, w in enumerate(words)}
+    dense = random_functional(AB, 5, 140)
+    gap = {w: dense.value(w) for w in dense.words() if len(w) != 3}
+    return [Functional(AB, 5, even), Functional(AB, 5, gap)]
+
+
+def _outputs(f, g):
+    # every way a functional is made from others: the 12 conversions, the
+    # five pre-Lie operations, the vector operations, map_values and JSON
+    for x in KINDS:
+        for y in KINDS:
+            if x != y:
+                yield f"{x}->{y}", convert(CumulantFamily(x, f), y).data
+    yield "magnus", magnus(f)
+    yield "magnus_inverse", magnus_inverse(f)
+    yield "exp_left+", exp_left(g, f, 1)
+    yield "exp_left-", exp_left(g, f, -1)
+    yield "prelie_product", prelie_product(f, g)
+    yield "add", f.add(g)
+    yield "add-self", f + f
+    yield "sub", f - g
+    yield "sub-self", f - f
+    yield "neg", -f
+    yield "scale", f.scale(Fraction(1, 2))
+    yield "scale-zero", f.scale(0)
+    yield "map_values", f.map_values(lambda v: v / 2)
+    yield "from_json", Functional.from_json(f.to_json())
+
+
+class TestLowestTerms:
+    """Every row is stored in lowest terms, so equality of rows is equality
+    of values: a functional equals the table built from its own values."""
+
+    @pytest.mark.parametrize("which", (0, 1), ids=("even", "zero-length"))
+    def test_outputs_are_in_lowest_terms(self, which):
+        f, g = _lowest_terms_inputs()[which], _lowest_terms_inputs()[1 - which]
+        for name, out in _outputs(f, g):
+            values = {w: out.value(w) for w in out.words()}
+            assert out == Functional(out.alphabet, out.max_order, values), name
 
 
 class TestProduct:
@@ -497,7 +551,7 @@ def _kernel_case(name):
         return _prime_pair(AB, 6)
     if name == "zero-length":
         dense = random_functional(AB, 6, 130)
-        kappa = Functional(AB, 6, {w: v for w, v in dense._table.items() if len(w) != 4})
+        kappa = Functional(AB, 6, {w: dense.value(w) for w in dense.words() if len(w) != 4})
         return kappa, random_functional(AB, 6, 131)
     if name == "integers":
         return (random_functional(AB, 6, 132).map_values(lambda v: v.numerator),

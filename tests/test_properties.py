@@ -22,7 +22,7 @@ _values = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
 
 @st.composite
-def _functionals(draw, alphabets, max_orders):
+def _drawn_functionals(draw, alphabets, max_orders):
     # each word is drawn letter by letter, after its length, which is drawn
     # with weight q^m: every word is as likely as any other, and a word
     # shrinks letter by letter, not toward the start of a list of all words
@@ -33,12 +33,16 @@ def _functionals(draw, alphabets, max_orders):
         lambda m: st.lists(st.sampled_from(alphabet), min_size=m, max_size=m).map(tuple)
     )
     values = draw(st.dictionaries(words, _values, max_size=len(lengths)))
-    return Functional(alphabet, max_order, values)
+    return Functional(alphabet, max_order, values), values
+
+
+def _functionals(alphabets, max_orders):
+    return _drawn_functionals(alphabets, max_orders).map(lambda drawn: drawn[0])
 
 
 # letters that print and parse back unchanged: no comma, no whitespace
 _letters = st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=3)
-_any_functional = _functionals(
+_any_functional = _drawn_functionals(
     st.lists(_letters, min_size=1, max_size=3, unique=True), st.integers(1, 3)
 )
 
@@ -55,8 +59,13 @@ def _nc_partitions(draw):
 
 @_SETTINGS
 @given(_any_functional)
-def test_functional_json_round_trip(f):
+def test_functional_json_round_trip(drawn):
+    # every word reads back the value drawn for it, so the word-to-code
+    # mapping is checked on 1-3 letters, and omitted words read as zero
+    f, values = drawn
     assert Functional.from_json(f.to_json()) == f
+    for w in f.words():
+        assert f.value(w) == values.get(w, 0)
 
 
 @_SETTINGS
