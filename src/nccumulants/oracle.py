@@ -359,24 +359,33 @@ def suite_roundtrips(seed=42, max_order=6):
 
 
 def suite_counts(seed=42, max_order=6):
-    """Catalan counts, labeling counts against exhaustive oracles, and the
-    monotone enumeration total."""
+    """Catalan counts for n <= 10, labeling counts against exhaustive
+    oracles, and the monotone enumeration total.
+
+    The other checks take their size from n = min(max_order, 7), the largest
+    tree the quasi-order oracle accepts: monotone counts on NC(m) for
+    m <= n, quasi-order counts on trees with at most n vertices, and the
+    enumeration total for 2 <= m <= n + 1.
+    """
+    if max_order < 1:
+        raise ValueError("max_order must be a positive integer")
+    n = min(max_order, QUASI_ORDER_LIMIT)
     reports = []
 
     bad = None
-    for n in range(1, 11):
-        catalan = _catalan(n)
-        if len(partitions.enumerate_nc(n)) != catalan:
-            bad = {"n": n, "expected": catalan}
+    for m in range(1, 11):
+        catalan = _catalan(m)
+        if len(partitions.enumerate_nc(m)) != catalan:
+            bad = {"n": m, "expected": catalan}
             break
-        if len(partitions.enumerate_nc_irr(n)) != _catalan(n - 1):
-            bad = {"n": n, "expected_irr": _catalan(n - 1)}
+        if len(partitions.enumerate_nc_irr(m)) != _catalan(m - 1):
+            bad = {"n": m, "expected_irr": _catalan(m - 1)}
             break
     reports.append(_bool_report("catalan-counts", bad is None, bad))
 
     bad = None
-    for n in range(1, 7):
-        for p in partitions.enumerate_nc(n):
+    for m in range(1, n + 1):
+        for p in partitions.enumerate_nc(m):
             if partitions.monotone_count_partition(p) != brute_monotone_orders(p):
                 bad = {"partition": p.text()}
                 break
@@ -385,7 +394,7 @@ def suite_counts(seed=42, max_order=6):
     reports.append(_bool_report("monotone-count-vs-brute", bad is None, bad))
 
     bad = None
-    for t in trees.trees_up_to(6):
+    for t in trees.trees_up_to(n):
         for k in range(1, t.size + 1):
             if trees.omega_k(t, k) != brute_quasi_orders(t, k):
                 bad = {"tree": t.encoding, "k": k}
@@ -395,16 +404,16 @@ def suite_counts(seed=42, max_order=6):
     reports.append(_bool_report("omega-k-vs-brute", bad is None, bad))
 
     bad = None
-    for n in range(2, 8):
+    for m in range(2, n + 2):
         total = sum(
-            len(partitions.enumerate_monotone_irr(n, k)) for k in range(1, n + 1)
+            len(partitions.enumerate_monotone_irr(m, k)) for k in range(1, m + 1)
         )
         expected = sum(
             partitions.monotone_count_partition(p)
-            for p in partitions.enumerate_nc_irr(n)
+            for p in partitions.enumerate_nc_irr(m)
         )
         if total != expected:
-            bad = {"n": n, "enumerated": total, "expected": expected}
+            bad = {"n": m, "enumerated": total, "expected": expected}
             break
     reports.append(_bool_report("monotone-enumeration-total", bad is None, bad))
     return reports

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from nccumulants import trees
 from nccumulants.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -444,6 +445,15 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["seed"] == 42 and report["max_order"] == 5
+
+    def test_failed_check_exits_1(self, capsys, monkeypatch):
+        omega = trees.omega
+        monkeypatch.setattr(trees, "omega", lambda t: omega(t) + 1)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "tables")
+        assert code == 1
+        report = json.loads(out)
+        assert report["status"] == "fail"
+        assert report["checks"][0]["status"] == "fail"
 
     def test_unknown_suite_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

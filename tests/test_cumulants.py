@@ -30,21 +30,19 @@ def _pair_cumulant(max_order):
     return Functional(("a",), max_order, {("a", "a"): 1})
 
 
-def _sub(f, w, block):
-    return f.value(tuple(w[i - 1] for i in block))
-
-
 def _plain_sum(src, from_kind, to_kind):
     # the closed sum of `from_kind -> to_kind` on plain Fractions, word by
     # word, over the rows expansion_terms lists
     rows = {m: expansion_terms(from_kind, to_kind, m) for m in range(1, src.max_order + 1)}
+    # the input is read once, so the block loops cost dict lookups
+    values = {w: src.value(w) for w in src.words()}
     out = {}
-    for w in src.words():
+    for w in values:
         total = Fraction(0)
         for p, coeff in rows[len(w)]:
             term = coeff
             for block in p.blocks:
-                term *= _sub(src, w, block)
+                term *= values[tuple(w[i - 1] for i in block)]
             total += term
         out[w] = total
     return out

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from nccumulants import oracle
+from nccumulants import cumulants, oracle, partitions, prelie, trees
+from nccumulants.cumulants import CumulantFamily
 from nccumulants.oracle import (
     OMEGA_TABLE,
     brute_enumerate_nc,
@@ -17,6 +19,84 @@ from nccumulants.oracle import (
 from nccumulants.partitions import NCPartition, enumerate_nc
 from nccumulants.prelie import Functional
 from nccumulants.trees import parse_tree
+
+
+# every check of ``nccum verify --suite all``, in report order
+ALL_CHECKS = [
+    "omega-table",
+    "kreimer-leaf-removal",
+    "prelie-identity",
+    "univariate-product-formula",
+    "magnus-vs-closed-2-letter",
+    "magnus-vs-closed-1-letter",
+    "free-monotone-free",
+    "monotone-free-monotone",
+    "boolean-monotone-boolean",
+    "monotone-boolean-monotone",
+    "free-boolean-free",
+    "boolean-free-boolean",
+    "free-moments-free",
+    "moments-free-moments",
+    "boolean-moments-boolean",
+    "moments-boolean-moments",
+    "monotone-moments-monotone",
+    "moments-monotone-moments",
+    "catalan-counts",
+    "monotone-count-vs-brute",
+    "omega-k-vs-brute",
+    "monotone-enumeration-total",
+]
+
+
+def _off_by_one(original):
+    return lambda *args: original(*args) + 1
+
+
+def _drop_first(original):
+    return lambda *args: original(*args)[1:]
+
+
+def _plus_a(f):
+    # f with 1 added on the word "a"
+    return f + Functional(f.alphabet, f.max_order, {("a",): 1})
+
+
+def _plus_left(product):
+    # (x |> y) + x: the identity's two sides then differ by a |> c - b |> c
+    return lambda x, y: product(x, y) + x
+
+
+def _convert_plus_a(convert):
+    return lambda family, kind: CumulantFamily(
+        kind, _plus_a(convert(family, kind).data)
+    )
+
+
+# for each check: its suite, and the library function it reads at call time
+# with a corruption that must make it fail.  No memoized function reaches a
+# corrupted one while its suite runs, so no wrong value outlives the test.
+CORRUPTIONS = {
+    "omega-table": ("tables", trees, "omega", _off_by_one),
+    "kreimer-leaf-removal": ("kreimer", trees, "leaf_removals", _drop_first),
+    "prelie-identity": ("prelie", prelie, "prelie_product", _plus_left),
+    "univariate-product-formula": ("prelie", prelie, "prelie_product", _plus_left),
+    **{
+        check: ("magnus-closed", prelie, "magnus", lambda m: lambda k: _plus_a(m(k)))
+        for check in ALL_CHECKS[4:6]
+    },
+    **{
+        check: ("roundtrips", cumulants, "convert", _convert_plus_a)
+        for check in ALL_CHECKS[6:18]
+    },
+    "catalan-counts": ("counts", partitions, "enumerate_nc", _drop_first),
+    "monotone-count-vs-brute": (
+        "counts", partitions, "monotone_count_partition", _off_by_one
+    ),
+    "omega-k-vs-brute": ("counts", trees, "omega_k", _off_by_one),
+    "monotone-enumeration-total": (
+        "counts", partitions, "enumerate_monotone_irr", _drop_first
+    ),
+}
 
 
 class TestBruteEnumeration:
@@ -103,21 +183,11 @@ class TestChecks:
         report = check_magnus_vs_closed(Functional(("a", "b"), 4))
         assert report["status"] == "pass"
 
-    def test_magnus_vs_closed_random(self):
-        report = check_magnus_vs_closed(random_functional(("a", "b"), 6, 42))
-        assert report["status"] == "pass"
-
     def test_magnus_vs_closed_guards(self):
         with pytest.raises(ValueError):
             check_magnus_vs_closed(Functional(("a", "b"), 8))
         with pytest.raises(ValueError):
             check_magnus_vs_closed(Functional(("a",), 10))
-
-    def test_prelie_identity_random(self):
-        a = random_functional(("a", "b"), 5, 7)
-        b = random_functional(("a", "b"), 5, 8)
-        c = random_functional(("a", "b"), 5, 9)
-        assert check_prelie_identity(a, b, c)["status"] == "pass"
 
     def test_prelie_identity_guard(self):
         f = Functional(("a",), 8)
@@ -156,21 +226,44 @@ class TestSuites:
 
     def test_roundtrip_check_names(self):
         # the report names and their order, which the verify report prints
-        names = [r["check"] for r in oracle.suite_roundtrips(max_order=3)]
-        assert names == [
-            "free-monotone-free",
-            "monotone-free-monotone",
-            "boolean-monotone-boolean",
-            "monotone-boolean-monotone",
-            "free-boolean-free",
-            "boolean-free-boolean",
-            "free-moments-free",
-            "moments-free-moments",
-            "boolean-moments-boolean",
-            "moments-boolean-moments",
-            "monotone-moments-monotone",
-            "moments-monotone-moments",
-        ]
+        names = [r["check"] for r in run_suite("all", max_order=3)]
+        assert names == ALL_CHECKS
+
+    @pytest.mark.parametrize("max_order, n", [(2, 2), (8, 7)])
+    def test_counts_sizes(self, max_order, n, monkeypatch):
+        # n = min(max_order, 7): monotone counts on NC(m) for m <= n,
+        # quasi-orders on trees with at most n vertices, and the enumeration
+        # total for 2 <= m <= n + 1
+        sizes = {}
+
+        def record(module, name, size):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                sizes.setdefault(name, set()).add(size(*args))
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        record(oracle, "brute_monotone_orders", lambda p: p.size)
+        record(oracle, "brute_quasi_orders", lambda t, k: t.size)
+        record(partitions, "enumerate_monotone_irr", lambda m, k: m)
+        reports = oracle.suite_counts(max_order=max_order)
+        assert all(r["status"] == "pass" for r in reports)
+        assert sizes == {
+            "brute_monotone_orders": set(range(1, n + 1)),
+            "brute_quasi_orders": set(range(1, n + 1)),
+            "enumerate_monotone_irr": set(range(2, n + 2)),
+        }
+
+    @pytest.mark.parametrize("check", ALL_CHECKS)
+    def test_each_check_reports_a_failure(self, check, monkeypatch):
+        suite, module, name, corrupt = CORRUPTIONS[check]
+        monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+        (report,) = [r for r in run_suite(suite, max_order=3) if r["check"] == check]
+        assert report["status"] == "fail"
+        assert report["counterexample"]
+        json.dumps(report["counterexample"])
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):

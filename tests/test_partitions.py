@@ -307,6 +307,16 @@ class TestMonotone:
         with pytest.raises(ValueError):
             MonotonePartition(base, (1, 3))
 
+    def test_equality(self):
+        base = P("{{1,3,5},{2},{4}}")
+        mp = MonotonePartition(base, (1, 2, 3))
+        same = MonotonePartition(P("{{1,3,5},{2},{4}}"), (1, 2, 3))
+        assert mp == same and hash(mp) == hash(same)
+        assert mp != MonotonePartition(base, (1, 3, 2))
+        assert MonotonePartition(P("{{1,4},{2,3}}"), (1, 2)) != MonotonePartition(
+            P("{{1,3,4},{2}}"), (1, 2)
+        )
+
     def test_text_and_json(self):
         mp = enumerate_monotone_irr(3, 2)[0]
         assert mp.text() == "{{1,3},{2}}"

@@ -74,6 +74,10 @@ class TestFunctional:
         # the size is checked before the table is built, so the refusal is
         # immediate however large the requested order
         assert sum(1 for _ in Functional(AB, 12).words()) == 8190
+        # {a} at order 100000 is exactly the limit
+        assert Functional(("a",), 100_000).max_order == 100_000
+        with pytest.raises(ValueError, match="limit of 100000 words"):
+            Functional(("a",), 100_001)
         for alphabet, order in ((AB, 64), (AB, 16), (("a",), 10**9)):
             with pytest.raises(ValueError, match="limit of 100000 words"):
                 Functional(alphabet, order)
@@ -469,12 +473,15 @@ class TestExpLeft:
 
 
 def _ref_product(alpha, beta):
+    # each table is read once, so the cut loops cost dict lookups
+    a = {w: alpha.value(w) for w in alpha.words()}
+    b = {w: beta.value(w) for w in beta.words()}
     values = {}
-    for w in alpha.words():
+    for w in a:
         m = len(w)
         values[w] = -sum(
             (
-                alpha.value(w[i:j]) * beta.value(w[:i] + w[j:])
+                a[w[i:j]] * b[w[:i] + w[j:]]
                 for i in range(1, m - 1)
                 for j in range(i + 1, m)
             ),
