@@ -9,16 +9,20 @@ and the moment-to-cumulant directions invert those sums by recursion on
 word length, which is always solvable because the one-block term is the
 only one touching the full word.
 
-One cached table per length holds each partition's blocks, block count,
-forest factorial, interval flag and omega.  It is built in one sweep per
-partition: a stack pass over the blocks, sorted by their least point, gives
-the parent of every block; the factorial and the interval flag come
-straight off that parent array, and so does a canonical key of the nesting
-tree, under which omega is computed once per distinct tree.  The rows are
-then grouped once per length, by shape and by coefficient input, and each
-direction evaluates its coefficient once per input, not once per row; one
-map gives each direction's coefficient as a function of those inputs; one
-loop sums the block products.
+The coefficient inputs are functions of the nesting forest alone: the
+block count, the forest factorial, the interval flag (every tree a single
+block) and, when the forest is one tree (the partition is irreducible),
+the omega of that tree.  So each length's table gives every partition its
+blocks and its forest, and the forests come from the enumeration itself:
+it fixes the block of the first point and partitions each gap on its own,
+so a partition's forest is the forest of the gap after that block plus one
+tree, whose children are the forests of the gaps inside it
+(``partitions._nc_forests``).  The inputs are computed once per distinct
+forest (357 up to order 11) and omega once per distinct tree.  The rows are
+then grouped once per length, by shape and by forest, and each direction
+evaluates its coefficient once per forest, not once per row; one map gives
+each direction's coefficient as a function of those inputs; one loop sums
+the block products.
 
 That loop runs on integers.  Each direction's order-n coefficients are
 numerators over one common denominator, grouped by the sorted block sizes
@@ -26,20 +30,25 @@ of their partitions; the values are read from the input's own integer rows
 (see ``prelie.Functional``), so a word's sum is an integer over a
 denominator fixed per length, and each output row is reduced once.
 
-Each table also lists its distinct blocks, at most 2^n - 1 of them.  A word
-first reads the value of each distinct block once into a small table keyed
+Each table also lists its distinct blocks, at most 2^n - 1 of them: the
+grouping gathers the blocks of each forest's rows once, and a direction
+takes the union over the forests it keeps.  A word first reads the value of each distinct block once into a small table keyed
 by the block; every row's block product then looks its blocks up there, so
 no subword is built or hashed per row.
 
 The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
-pure.  They keep, for every order n that a conversion or ``expansion_terms``
-reached: ``_grouped(n)``, the rows of ``_nc_terms(n)`` (one per non-crossing
-partition, Catalan(n) rows, not cached) grouped by shape and coefficient
-input; ``_terms(direction, n)``, one integer table per direction; and
+pure; the forest ids are interned afresh by each build, so no other state
+is kept.  The caches keep, for every order n that a conversion or
+``expansion_terms`` reached: ``_grouped(n)``, the rows of ``_nc_terms(n)``
+(one per non-crossing partition, Catalan(n) rows, not cached) grouped by
+shape and by forest, with every row's forest in table order;
+``_terms(direction, n)``, one integer table per direction; and
 ``partitions._nc_blocks``, the enumerated blocks.  ``trees.omega`` keeps one
 omega per distinct nesting tree (112 up to order 11), read across orders.
 """
 
+from array import array
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, product
@@ -89,41 +98,43 @@ class CumulantFamily:
         return cls(kind, Functional.from_json(functional))
 
 
+# the coefficient inputs of a nesting forest, shared by every row of a table
+# whose partition has that forest: block count, forest factorial, interval
+# flag, and the omega of its tree, None unless the forest is one tree
+_Forest = namedtuple("_Forest", "nb ff iv om")
+
+
 def _nc_terms(n):
-    # one row per partition of [n], in enumerate_nc order: 1-based blocks,
-    # block count, forest factorial of the nesting forest, interval flag,
-    # and omega of the nesting tree (None unless irreducible), all from one
-    # parent array per partition.  Children follow their parents in block
-    # order, so one reverse sweep accumulates the subtree sizes, whose
-    # product is the factorial, and the canonical key of each subtree: the
-    # sorted tuple of its children's keys, under which omega is computed
-    # once per table (trees.omega caches it across orders).  A partition is
-    # an interval one exactly when no block nests in another, since a block
-    # with a gap surrounds the blocks in that gap.
+    # one row per partition of [n], in enumerate_nc order: its 1-based
+    # blocks and its nesting forest, a _Forest built once per distinct
+    # forest from the ids of partitions._nc_forests.  A forest's id follows
+    # its trees' children's, so one forward pass gives every block count
+    # and factorial: a tree over the forest k has nb[k] + 1 blocks and
+    # factorial (nb[k] + 1) * ff[k].  A partition is an interval one exactly
+    # when every tree is a single block (its children the empty forest, id
+    # 0), and irreducible exactly when there is one tree; omega is computed
+    # for those trees only (trees.omega caches it across orders).
     partitions._check_enum_n(n)
-    rows = []
-    omegas = {}
-    for blocks in partitions._nc_blocks(tuple(range(1, n + 1))):
-        parents = partitions._parents(blocks)
-        sizes = [1] * len(blocks)
-        for j in range(len(blocks) - 1, 0, -1):
-            if parents[j] is not None:
-                sizes[parents[j]] += sizes[j]
-        om = None
-        if blocks[0][-1] == n:  # irreducible: block 0 is the only root
-            kids = [[] for _ in blocks]
-            for j in range(len(blocks) - 1, 0, -1):
-                kids[parents[j]].append(tuple(sorted(kids[j])))
-            key = tuple(sorted(kids[0]))
-            om = omegas.get(key)
-            if om is None:
-                om = omegas[key] = trees.omega(_tree_of(key))
-        rows.append((blocks, len(blocks), prod(sizes), parents.count(None) == len(blocks), om))
-    return tuple(rows)
+    ids, forests = partitions._nc_forests(n)
+    nb, ff = [], []
+    for forest in forests:
+        nb.append(sum(nb[k] + 1 for k in forest))
+        ff.append(prod((nb[k] + 1) * ff[k] for k in forest))
+    tree = {}
 
+    def tree_over(k):
+        t = tree.get(k)
+        if t is None:
+            t = tree[k] = trees.RootedTree(map(tree_over, forests[k]))
+        return t
 
-def _tree_of(key):
-    return trees.RootedTree(map(_tree_of, key))
+    record = {}
+    for i in dict.fromkeys(ids):
+        forest = forests[i]
+        om = trees.omega(tree_over(forest[0])) if len(forest) == 1 else None
+        record[i] = _Forest(nb[i], ff[i], not any(forest), om)
+    points = tuple(range(1, n + 1))
+    return tuple(zip(partitions._nc_blocks(points), map(record.__getitem__, ids)))
 
 
 # The coefficient of a partition in each closed sum, from its block count,
@@ -143,37 +154,48 @@ _COEFF = {
 }
 
 
-def _coefficient(direction, nb, ff, iv, om):
-    # a row's coefficient in the sum of `direction`, or None for a reducible
-    # row of a cumulant-to-cumulant sum, which does not enter it
-    if om is None and direction[1] != "moment":
+def _coefficient(direction, forest):
+    # the coefficient in the sum of `direction` of a row with this nesting
+    # forest, or None for a reducible row of a cumulant-to-cumulant sum,
+    # which does not enter it
+    if forest.om is None and direction[1] != "moment":
         return None
-    return Fraction(_COEFF[direction](nb, ff, iv, om))
+    return Fraction(_COEFF[direction](*forest))
 
 
 @lru_cache(maxsize=None)
 def _grouped(n):
-    # the order-n rows grouped once for every direction, as (keys, shapes):
-    # keys lists each distinct coefficient input (nb, ff, iv, om) once, and
+    # the order-n rows grouped once for every direction, as (forests, order,
+    # blocks_of, shapes): forests lists each distinct nesting forest of the
+    # rows once, order gives each row's index into forests in table order,
+    # and blocks_of[i] holds every block of the rows with forest i once;
     # each shape (the sorted block sizes of a row) holds its rows' blocks in
-    # table order with a parallel tuple of indices into keys.  A key holds
-    # omega as its numerator and denominator, so no Fraction is hashed.
+    # table order with a parallel array of indices into forests.  The rows
+    # with one forest share one _Forest, so its identity keys it and no
+    # omega is hashed.
     index = {}
-    keys = []
+    forests, order, rows_of = [], [], []
     groups = {}
-    for blocks, nb, ff, iv, om in _nc_terms(n):
-        key = (nb, ff, iv) if om is None else (nb, ff, iv, om.numerator, om.denominator)
-        i = index.get(key)
+    for blocks, forest in _nc_terms(n):
+        i = index.get(id(forest))
         if i is None:
-            i = index[key] = len(keys)
-            keys.append((nb, ff, iv, om))
+            i = index[id(forest)] = len(forests)
+            forests.append(forest)
+            rows_of.append([])
+        rows_of[i].append(blocks)
+        order.append(i)
         shape = tuple(sorted(map(len, blocks)))
         group = groups.get(shape)
         if group is None:
             group = groups[shape] = ([], [])
         group[0].append(blocks)
         group[1].append(i)
-    return tuple(keys), tuple((shape, tuple(b), tuple(i)) for shape, (b, i) in groups.items())
+    # the indices take 2 bytes each while there are fewer than 2^16 forests
+    # (1,188 at n = 13, not quite doubling per order)
+    code = "H" if len(forests) < 1 << 16 else "L"
+    shapes = tuple((shape, tuple(b), array(code, i)) for shape, (b, i) in groups.items())
+    blocks_of = tuple(tuple(set(chain.from_iterable(rows))) for rows in rows_of)
+    return tuple(forests), array(code, order), blocks_of, shapes
 
 
 @lru_cache(maxsize=None)
@@ -182,10 +204,11 @@ def _terms(direction, n):
     # (den, shapes, distinct): den is the common denominator of the
     # coefficients, each shape holds its rows as a tuple of blocks and a
     # parallel tuple of integer numerators over den, and distinct holds
-    # every block of those rows once.  The coefficient is evaluated once
-    # per key of the grouped table, not once per row.
-    keys, groups = _grouped(n)
-    cs = [_coefficient(direction, *key) for key in keys]
+    # every block of those rows once: the blocks of the forests whose
+    # coefficient is nonzero.  The coefficient is evaluated once per
+    # forest, not once per row.
+    forests, _, blocks_of, groups = _grouped(n)
+    cs = [_coefficient(direction, forest) for forest in forests]
     den = lcm(*(c.denominator for c in cs if c))
     nums = [c.numerator * (den // c.denominator) if c else 0 for c in cs]
     shapes = []
@@ -194,7 +217,7 @@ def _terms(direction, n):
         kept = tuple(compress(blocks, row_nums))
         if kept:
             shapes.append((shape, kept, tuple(filter(None, row_nums))))
-    distinct = set(chain.from_iterable(chain.from_iterable(b for _, b, _ in shapes)))
+    distinct = set().union(*compress(blocks_of, cs))
     return den, tuple(shapes), tuple(distinct)
 
 
@@ -379,11 +402,10 @@ def expansion_terms(from_kind, to_kind, n):
         )
     # checked first: a table cached before the bound was lowered is refused
     partitions._check_enum_n(n)
-    keys, groups = _grouped(n)
-    cs = [_coefficient((from_kind, to_kind), *key) for key in keys]
-    coeffs = {b: cs[i] for _, blocks, idx in groups for b, i in zip(blocks, idx)}
+    forests, order, _, _ = _grouped(n)
+    cs = [_coefficient((from_kind, to_kind), forest) for forest in forests]
     return [
-        (partitions.NCPartition._wrap(blocks), coeffs[blocks])
-        for blocks in partitions._nc_blocks(tuple(range(1, n + 1)))
-        if coeffs[blocks] is not None
+        (partitions.NCPartition._wrap(blocks), cs[i])
+        for blocks, i in zip(partitions._nc_blocks(tuple(range(1, n + 1))), order)
+        if cs[i] is not None
     ]

@@ -15,7 +15,7 @@ import os
 import re
 from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import factorial
 
 from .trees import _MAX_DEPTH, Forest, RootedTree, forest_factorial
@@ -336,6 +336,63 @@ def _nc_blocks(points):
                     blocks += sub
                 results.append(blocks)
     return tuple(results)
+
+
+class _Memo(dict):
+    # a dict that fills a missing key with make(key)
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _nc_forests(n):
+    # the nesting forest of every partition of [n], as (ids, forests): ids
+    # gives one forest id per partition, in _nc_blocks order, and forests[i]
+    # is forest i as the sorted tuple of its trees, each tree given by the
+    # id of the forest of its children; id 0 is the empty forest, and a
+    # forest's id follows the ids of its trees' children.
+    #
+    # _nc_blocks fixes the block B of the first point and partitions each
+    # gap on its own: the forests of the gaps inside B together form B's
+    # children, and B's tree joins the forest of the gap after B.  So each
+    # length's ids are composed, in the same product order, from the ids of
+    # shorter lengths, memoised on the gaps' ids.  The ids are interned per
+    # call, so equal forests get one id and nothing outlives the call.
+    forests = []
+
+    def intern(forest):
+        forests.append(forest)
+        return len(forests) - 1
+
+    index = _Memo(intern)
+    index[()]
+
+    def children(gaps):  # the forest that the gaps inside B form
+        return index[tuple(sorted(chain.from_iterable(map(forests.__getitem__, gaps))))]
+
+    def joined(pair):  # B over its children, beside the trailing forest
+        kids, trailing = pair
+        return index[tuple(sorted(forests[trailing] + (kids,)))]
+
+    kids_of, forest_of = _Memo(children), _Memo(joined)
+    by_length = [[0]]
+    for m in range(1, n + 1):
+        ids = []
+        for r in range(m):
+            for idxs in combinations(range(m - 1), r):
+                # B's other points among the m - 1 after the first, as in
+                # _nc_blocks; the lengths of its gaps, the one after B last
+                lengths = [b - a - 1 for a, b in zip((-1,) + idxs, idxs + (m - 1,))]
+                trailing = by_length[lengths.pop()]
+                kids = map(kids_of.__getitem__, product(*map(by_length.__getitem__, lengths)))
+                ids.extend(map(forest_of.__getitem__, product(kids, trailing)))
+        by_length.append(ids)
+    return by_length[n], tuple(forests)
 
 
 def enumerate_nc_irr(n):

@@ -1,11 +1,13 @@
 import json
+import threading
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
-from nccumulants import cli, cumulants, partitions, trees
+from nccumulants import cli, cumulants, oracle, partitions, prelie, trees
 from nccumulants.cumulants import (
     CumulantFamily,
     boolean_from_free,
@@ -328,9 +330,9 @@ class TestExpansionTerms:
         coeff = cumulants._COEFF[direction]
         for n in range(1, 8):
             expected = Counter(
-                (partitions.NCPartition._wrap(blocks).text(), Fraction(coeff(*inputs)))
-                for blocks, *inputs in cumulants._nc_terms(n)
-                if inputs[3] is not None or direction[1] == "moment"
+                (partitions.NCPartition._wrap(blocks).text(), Fraction(coeff(*forest)))
+                for blocks, forest in cumulants._nc_terms(n)
+                if forest.om is not None or direction[1] == "moment"
             )
             rows = Counter((p.text(), c) for p, c in expansion_terms(*direction, n))
             assert rows == expected, n
@@ -351,49 +353,82 @@ class TestExpansionTerms:
 
 
 class TestCachedTerms:
+    # the table's rows come from forests composed in the enumeration, the
+    # checks below from partitions.nesting_forest, which reads each
+    # partition's parent array, so the two routes share no code
+
     def test_forest_factorials_match_tree_route(self):
-        # the cached per-partition factorial is computed from the parent
-        # array; it must agree with the factorial of the built nesting forest
-        for n in range(1, 8):
-            cached = {row[0]: row[2] for row in cumulants._nc_terms(n)}
-            for p in partitions.enumerate_nc(n):
-                expected = trees.forest_factorial(partitions.nesting_forest(p))
-                assert cached[p.blocks] == expected, p.text()
+        # the rows in enumeration order, each with its block count and the
+        # factorial of the nesting forest read off its parent array
+        for n in range(1, 11):
+            rows = cumulants._nc_terms(n)
+            for (blocks, forest), p in zip(rows, partitions.enumerate_nc(n), strict=True):
+                assert blocks == p.blocks
+                assert forest.nb == len(blocks), p.text()
+                assert forest.ff == trees.forest_factorial(partitions.nesting_forest(p)), p.text()
 
     def test_interval_flags_match_predicate(self):
-        for n in range(1, 7):
-            cached = {row[0]: row[3] for row in cumulants._nc_terms(n)}
-            for p in partitions.enumerate_nc(n):
-                assert cached[p.blocks] == partitions.is_interval(p)
+        for n in range(1, 11):
+            for blocks, forest in cumulants._nc_terms(n):
+                p = partitions.NCPartition._wrap(blocks)
+                assert forest.iv == partitions.is_interval(p), p.text()
 
     def test_omega_matches_recursive_oracle(self):
-        # the table's omega, from a tree key built off the parent array,
-        # against the Bernoulli recursion over block subsets
-        from nccumulants import oracle
-
+        # the table's omega against the Bernoulli recursion over block subsets
         for n in range(1, 9):
-            for blocks, _, _, _, om in cumulants._nc_terms(n):
+            for blocks, forest in cumulants._nc_terms(n):
                 p = partitions.NCPartition._wrap(blocks)
                 if p.is_irreducible():
-                    assert om == oracle.omega_recursive(p), p.text()
+                    assert forest.om == oracle.omega_recursive(p), p.text()
                 else:
-                    assert om is None, p.text()
+                    assert forest.om is None, p.text()
 
     def test_omega_matches_nesting_tree(self):
-        # the table no longer builds nesting forests: the tree route is an
-        # independent check of its keys
         for n in range(1, 11):
-            for blocks, _, _, _, om in cumulants._nc_terms(n):
-                if om is not None:
+            for blocks, forest in cumulants._nc_terms(n):
+                if forest.om is not None:
                     p = partitions.NCPartition._wrap(blocks)
-                    assert om == trees.omega(partitions.nesting_forest(p).trees[0]), p.text()
+                    tree = partitions.nesting_forest(p).trees[0]
+                    assert forest.om == trees.omega(tree), p.text()
+
+    def test_rows_share_one_record_per_forest(self):
+        # _grouped keys the rows by the identity of their record, so equal
+        # nesting forests must share one record and distinct ones must not
+        for n in range(1, 10):
+            forest_of = {}
+            for blocks, forest in cumulants._nc_terms(n):
+                nesting = partitions.nesting_forest(partitions.NCPartition._wrap(blocks))
+                assert forest_of.setdefault(id(forest), nesting) == nesting
+            assert len(set(forest_of.values())) == len(forest_of), n
 
     @staticmethod
     def _fresh_caches(monkeypatch):
         # empty table caches for one test, so no earlier table is reused
-        for owner, name in ((cumulants, "_grouped"), (cumulants, "_terms"), (trees, "omega")):
+        for owner, name in (
+            (partitions, "_nc_blocks"),
+            (cumulants, "_grouped"),
+            (cumulants, "_terms"),
+            (trees, "omega"),
+        ):
             original = getattr(owner, name).__wrapped__
             monkeypatch.setattr(owner, name, lru_cache(maxsize=None)(original))
+
+    def test_concurrent_cold_builds_agree(self, monkeypatch):
+        # the caches are thread-safe and the forests interned per build, so
+        # four threads building the same tables from empty caches at once
+        # each get what one thread builds alone
+        orders = range(1, 10)
+        expected = [cumulants._grouped.__wrapped__(n) for n in orders]
+        self._fresh_caches(monkeypatch)
+        start = threading.Barrier(4)
+
+        def build():
+            start.wait()
+            return [cumulants._grouped(n) for n in orders]
+
+        with ThreadPoolExecutor(4) as pool:
+            results = [f.result() for f in [pool.submit(build) for _ in range(4)]]
+        assert all(result == expected for result in results)
 
     def test_enumeration_bound_on_table_path(self, monkeypatch):
         # the tables read the enumeration's blocks directly; the bound is
@@ -401,7 +436,8 @@ class TestCachedTerms:
         self._fresh_caches(monkeypatch)
         cumulants._grouped(9)
         enumerated = []
-        monkeypatch.setattr(partitions, "_nc_blocks", lambda points: enumerated.append(points))
+        for name in ("_nc_blocks", "_nc_forests"):
+            monkeypatch.setattr(partitions, name, lambda arg: enumerated.append(arg))
         monkeypatch.setenv("NC_CUMULANTS_MAX_N", "8")
         with pytest.raises(ValueError, match="enumeration bound"):
             cumulants._nc_terms(9)
@@ -416,32 +452,53 @@ class TestCachedTerms:
 
     def test_cache_sizes(self, monkeypatch):
         # what the table caches keep after a conversion at order 11: one
-        # entry per order, and one omega per distinct nesting tree
+        # entry per order, one omega per distinct nesting tree, and the
+        # enumeration's blocks per point run reached.  The forests are
+        # interned per build, so no other memo cache is touched.
         self._fresh_caches(monkeypatch)
+        caches = {
+            f"{module.__name__}.{name}": fn
+            for module in (cli, cumulants, oracle, partitions, prelie, trees)
+            for name, fn in vars(module).items()
+            if hasattr(fn, "cache_info")
+        }
+        before = {name: fn.cache_info() for name, fn in caches.items()}
         convert(CumulantFamily("free", _pair_cumulant(11)), "monotone")
+        touched = {name for name, fn in caches.items() if fn.cache_info() != before[name]}
+        assert touched == {
+            "nccumulants.partitions._nc_blocks",
+            "nccumulants.cumulants._grouped",
+            "nccumulants.cumulants._terms",
+            "nccumulants.trees.omega",
+            "nccumulants.trees._strict_counts",
+        }
+        assert partitions._nc_blocks.cache_info().currsize == 67
         assert cumulants._grouped.cache_info().currsize == 11
         assert cumulants._terms.cache_info().currsize == 11
         assert trees.omega.cache_info().currsize == 112
 
     def test_show_order_builds_each_table_once(self, monkeypatch, tmp_path):
-        # --show-order reads the table the conversion groups, so no order
-        # is built twice
+        # --show-order reads the table the conversion groups, so no order's
+        # rows or forests are built twice
         self._fresh_caches(monkeypatch)
-        built = Counter()
-        nc_terms = cumulants._nc_terms
+        built = {"_nc_terms": Counter(), "_nc_forests": Counter()}
 
-        def counting(n):
-            built[n] += 1
-            return nc_terms(n)
+        def counting(fn, counter):
+            def wrapper(n):
+                counter[n] += 1
+                return fn(n)
 
-        monkeypatch.setattr(cumulants, "_nc_terms", counting)
+            return wrapper
+
+        for owner, name in ((cumulants, "_nc_terms"), (partitions, "_nc_forests")):
+            monkeypatch.setattr(owner, name, counting(getattr(owner, name), built[name]))
         m = 6
         src = tmp_path / "in.json"
         src.write_text(json.dumps(CumulantFamily("free", _pair_cumulant(m)).to_json()))
         argv = ["convert", "--from", "free", "--to", "monotone", "--input", str(src)]
         argv += ["--output", str(tmp_path / "out.json"), "--show-order", str(m)]
         assert cli.main(argv) == 0
-        assert built == Counter(range(1, m + 1))
+        assert built == {name: Counter(range(1, m + 1)) for name in built}
 
 
 def _primes(count):

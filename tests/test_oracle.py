@@ -256,6 +256,23 @@ class TestSuites:
             "enumerate_monotone_irr": set(range(2, n + 2)),
         }
 
+    @pytest.mark.parametrize("seed, max_order", [(42, 9), (7, 5)])
+    def test_magnus_closed_inputs(self, seed, max_order, monkeypatch):
+        # the identity holds on any input, so only the inputs show which
+        # seed and order the suite drew them from
+        drawn = []
+
+        def record(kappa):
+            drawn.append(kappa)
+            return {}
+
+        monkeypatch.setattr(oracle, "check_magnus_vs_closed", record)
+        oracle.suite_magnus_closed(seed=seed, max_order=max_order)
+        assert drawn == [
+            random_functional(("a", "b"), min(max_order, 7), seed),
+            random_functional(("a",), 9, seed + 1),
+        ]
+
     @pytest.mark.parametrize("check", ALL_CHECKS)
     def test_each_check_reports_a_failure(self, check, monkeypatch):
         suite, module, name, corrupt = CORRUPTIONS[check]

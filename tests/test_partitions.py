@@ -215,6 +215,18 @@ class TestStructure:
                 expected.append(inner[0] if inner else None)
             assert partitions._parents(p.blocks) == tuple(expected), p.text()
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_composed_forests_match_nesting_forest(self, n):
+        # the forests composed beside the enumeration against the ones read
+        # off each partition's parent array, and one id per distinct forest
+        ids, forests = partitions._nc_forests(n)
+        built = []
+        for forest in forests:  # a tree's children come before it
+            built.append(trees.Forest(trees.RootedTree(built[k].trees) for k in forest))
+        assert len(set(built)) == len(built)
+        for i, p in zip(ids, enumerate_nc(n), strict=True):
+            assert built[i] == nesting_forest(p), p.text()
+
     def test_forest_vertex_count(self):
         for n in range(1, 7):
             for p in enumerate_nc(n):
