@@ -19,40 +19,50 @@ so a partition's forest is the forest of the gap after that block plus one
 tree, whose children are the forests of the gaps inside it
 (``partitions._nc_forests``).  The inputs are computed once per distinct
 forest (357 up to order 11) and omega once per distinct tree.  The rows are
-then grouped once per length, by shape and by forest, and each direction
-evaluates its coefficient once per forest, not once per row; one map gives
-each direction's coefficient as a function of those inputs; one loop sums
-the block products.
+then grouped once per length, by shape (the sorted block sizes) and within
+a shape by forest, and each direction evaluates its coefficient once per
+forest, not once per row; one map gives each direction's coefficient as a
+function of those inputs; one loop sums the block products.
 
 That loop runs on integers.  Each direction's order-n coefficients are
-numerators over one common denominator, grouped by the sorted block sizes
-of their partitions; the values are read from the input's own integer rows
-(see ``prelie.Functional``), so a word's sum is an integer over a
-denominator fixed per length, and each output row is reduced once.
+numerators over one common denominator; the values are read from the
+input's own integer rows (see ``prelie.Functional``), so a word's sum is an
+integer over a denominator fixed per length, and each output row is
+reduced once.
 
-Each table also lists its distinct blocks, at most 2^n - 1 of them: the
-grouping gathers the blocks of each forest's rows once, and a direction
-takes the union over the forests it keeps.  A word first reads the value of each distinct block once into a small table keyed
-by the block; every row's block product then looks its blocks up there, so
-no subword is built or hashed per row.
+A shape's rows are stored as columns: the j-th column lists, for every
+row, the index of its j-th block among the table's blocks (at most 2^n - 1
+of them).  Each length first gathers the value of every block at every
+word, one list per block, from the block's subword codes; a block's codes
+are its prefix's codes times the alphabet size plus the letter at its last
+point, so no subword is built.  Each word then multiplies whole columns of
+its values, numerators included, in nested maps: one call per shape and
+word, and no Python code per row.  A shape that reads a length whose
+values are all zero is skipped.  The words are read in chunks that bound
+the gathered values (``_GATHER``).
 
 The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
 pure; the forest ids are interned afresh by each build, so no other state
 is kept.  The caches keep, for every order n that a conversion or
 ``expansion_terms`` reached: ``_grouped(n)``, the rows of ``_nc_terms(n)``
-(one per non-crossing partition, Catalan(n) rows, not cached) grouped by
-shape and by forest, with every row's forest in table order;
-``_terms(direction, n)``, one integer table per direction; and
-``partitions._nc_blocks``, the enumerated blocks.  ``trees.omega`` keeps one
-omega per distinct nesting tree (112 up to order 11), read across orders.
+(one per non-crossing partition, Catalan(n) rows, not cached) as columns
+of block indices grouped by shape and by forest, with every row's forest
+in table order; ``_columns(n, kept)``, the rows that the directions
+keeping the same forests keep, shared by those directions (a direction
+keeping every row shares ``_grouped``'s columns); ``_terms(direction,
+n)``, one tuple of integer numerators per shape and direction; and
+``partitions._nc_blocks``, the enumerated blocks.  ``trees.omega`` keeps
+one omega per distinct nesting tree (112 up to order 11), read across
+orders.
 """
 
 from array import array
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, product
+from itertools import accumulate, chain, repeat
 from math import lcm, prod
+from operator import add, getitem, mul
 
 from . import partitions, trees
 from .prelie import Functional, _common, _reduced
@@ -163,72 +173,175 @@ def _coefficient(direction, forest):
     return Fraction(_COEFF[direction](*forest))
 
 
+def _code(count):
+    # the array typecode of indices below count: 2 bytes while count < 2^16
+    # (1,188 forests and 8,191 blocks at n = 13)
+    return "H" if count < 1 << 16 else "L"
+
+
 @lru_cache(maxsize=None)
 def _grouped(n):
     # the order-n rows grouped once for every direction, as (forests, order,
-    # blocks_of, shapes): forests lists each distinct nesting forest of the
+    # blocks, shapes): forests lists each distinct nesting forest of the
     # rows once, order gives each row's index into forests in table order,
-    # and blocks_of[i] holds every block of the rows with forest i once;
-    # each shape (the sorted block sizes of a row) holds its rows' blocks in
-    # table order with a parallel array of indices into forests.  The rows
-    # with one forest share one _Forest, so its identity keys it and no
-    # omega is hashed.
+    # and blocks lists every block of the rows once.  A shape (the sorted
+    # block sizes of a row) holds its rows as (shape, columns, runs,
+    # sizes): the j-th column is an array of the index into blocks of each
+    # row's j-th block, and the rows come in runs of one forest each,
+    # runs[r] the forest's index and sizes[r] its row count.  The rows with
+    # one forest share one _Forest, so its identity keys it and no omega is
+    # hashed.
     index = {}
-    forests, order, rows_of = [], [], []
+    forests, order = [], []
     groups = {}
     for blocks, forest in _nc_terms(n):
         i = index.get(id(forest))
         if i is None:
             i = index[id(forest)] = len(forests)
             forests.append(forest)
-            rows_of.append([])
-        rows_of[i].append(blocks)
         order.append(i)
         shape = tuple(sorted(map(len, blocks)))
-        group = groups.get(shape)
-        if group is None:
-            group = groups[shape] = ([], [])
-        group[0].append(blocks)
-        group[1].append(i)
-    # the indices take 2 bytes each while there are fewer than 2^16 forests
-    # (1,188 at n = 13, not quite doubling per order)
-    code = "H" if len(forests) < 1 << 16 else "L"
-    shapes = tuple((shape, tuple(b), array(code, i)) for shape, (b, i) in groups.items())
-    blocks_of = tuple(tuple(set(chain.from_iterable(rows))) for rows in rows_of)
-    return tuple(forests), array(code, order), blocks_of, shapes
+        runs = groups.get(shape)
+        if runs is None:
+            runs = groups[shape] = {}
+        run = runs.get(i)
+        if run is None:
+            run = runs[i] = []
+        run.append(blocks)
+    # the 2^n - 1 blocks indexed in the order the columns first read them
+    blocks = partitions._Memo(lambda block: len(blocks))
+    code, bcode = _code(len(forests)), _code(1 << n)
+    shapes = tuple(
+        (
+            shape,
+            tuple(array(bcode, map(blocks.__getitem__, c)) for c in zip(*chain(*runs.values()))),
+            array(code, runs),
+            array("L", map(len, runs.values())),
+        )
+        for shape, runs in groups.items()
+    )
+    return tuple(forests), array(code, order), tuple(blocks), shapes
+
+
+@lru_cache(maxsize=None)
+def _columns(n, kept):
+    # the order-n rows whose forest i has kept[i] set, as (shapes, plan):
+    # each shape as in _grouped, with its kept runs only, and its columns
+    # indexing the kept rows' own blocks, which plan gathers
+    # (_gather_plan).  The directions that keep the same rows share one
+    # entry, and keeping every row shares _grouped's blocks and columns.
+    _, _, blocks, groups = _grouped(n)
+    if all(kept):
+        return groups, _gather_plan(blocks)
+    shapes = []
+    for shape, columns, runs, sizes in groups:
+        keep = [
+            (i, slice(end - size, end), size)
+            for i, size, end in zip(runs, sizes, accumulate(sizes))
+            if kept[i]
+        ]
+        if keep:
+            runs, spans, sizes = zip(*keep)
+            columns = [list(chain.from_iterable(map(c.__getitem__, spans))) for c in columns]
+            shapes.append((shape, columns, array(_code(len(kept)), runs), array("L", sizes)))
+    used = sorted(set().union(*chain.from_iterable(c for _, c, _, _ in shapes)))
+    rank = [0] * len(blocks)
+    for new, old in enumerate(used):
+        rank[old] = new
+    code = _code(len(used))
+    shapes = tuple(
+        (shape, tuple(array(code, map(rank.__getitem__, c)) for c in columns), runs, sizes)
+        for shape, columns, runs, sizes in shapes
+    )
+    return shapes, _gather_plan(list(map(blocks.__getitem__, used)))
 
 
 @lru_cache(maxsize=None)
 def _terms(direction, n):
     # the rows with a nonzero coefficient, once per direction and order, as
-    # (den, shapes, distinct): den is the common denominator of the
-    # coefficients, each shape holds its rows as a tuple of blocks and a
-    # parallel tuple of integer numerators over den, and distinct holds
-    # every block of those rows once: the blocks of the forests whose
-    # coefficient is nonzero.  The coefficient is evaluated once per
-    # forest, not once per row.
-    forests, _, blocks_of, groups = _grouped(n)
+    # (den, shapes, plan): den is the common denominator of the
+    # coefficients, and each shape holds the columns of its kept rows and a
+    # parallel tuple of their integer numerators over den (see _columns).
+    # The coefficient is evaluated once per forest, not once per row.
+    forests = _grouped(n)[0]
     cs = [_coefficient(direction, forest) for forest in forests]
     den = lcm(*(c.denominator for c in cs if c))
     nums = [c.numerator * (den // c.denominator) if c else 0 for c in cs]
-    shapes = []
-    for shape, blocks, idx in groups:
-        row_nums = list(map(nums.__getitem__, idx))
-        kept = tuple(compress(blocks, row_nums))
-        if kept:
-            shapes.append((shape, kept, tuple(filter(None, row_nums))))
-    distinct = set().union(*compress(blocks_of, cs))
-    return den, tuple(shapes), tuple(distinct)
+    shapes, plan = _columns(n, bytes(map(bool, nums)))
+    shapes = tuple(
+        (shape, columns, tuple(chain.from_iterable(map(repeat, map(nums.__getitem__, runs), sizes))))
+        for shape, columns, runs, sizes in shapes
+    )
+    return den, shapes, plan
 
 
-def _block_product(vals, blocks, start):
-    product = start
-    for b in blocks:
-        v = vals[b]
-        if not v:
-            return None
-        product *= v
-    return product
+def _gather_plan(blocks):
+    # how _gathered reads the values of `blocks`, as (len(blocks), steps):
+    # steps visits every block and every prefix of one in sorted order, as
+    # parallel arrays of its length, its last point and its index into
+    # blocks (-1 for a prefix that is no block).  In sorted order the
+    # tuples extending a prefix follow it directly, so when a tuple of
+    # length d is visited, the last tuple of length d - 1 visited is its
+    # prefix.
+    slot = {}
+    for s, block in enumerate(blocks):
+        for k in range(1, len(block)):
+            slot.setdefault(block[:k], -1)
+        slot[block] = s
+    nodes = sorted(slot)
+    steps = (
+        array("B", map(len, nodes)),
+        array("B", [node[-1] for node in nodes]),
+        array("l", map(slot.__getitem__, nodes)),
+    )
+    return len(blocks), steps
+
+
+# the most block values _gathered holds at once: a length's words are read
+# in chunks of _GATHER // (the direction's blocks) words, at least one
+_GATHER = 1 << 20
+
+
+def _gathered(rows, m, q, plan, reads):
+    # the values of a direction's blocks at every word of length m, as one
+    # list per chunk of word codes: values[b][c] is the value of block b at
+    # the chunk's c-th word.  The codes of a block's subwords over the chunk
+    # come from its prefix's, g_{b+(i)} = q * g_b + digits[i], with
+    # digits[i] the letter index at position i of each word (first letter
+    # most significant), so one code list per length is kept.  Blocks of a
+    # length not in `reads` are read by no row and are left 0.
+    nblocks, steps = plan
+    top = max(reads)
+    width = max(1, _GATHER // nblocks)
+    for lo in range(0, q**m, width):
+        span = range(lo, min(lo + width, q**m))
+        digits = [None] + [
+            list(map(q.__rmod__, map((q ** (m - i)).__rfloordiv__, span))) for i in range(1, m + 1)
+        ]
+        codes = [None] * (top + 1)
+        values = [[0] * len(span)] * nblocks
+        for depth, point, slot in zip(*steps):
+            if depth > top:
+                continue
+            g = codes[depth] = (
+                digits[point] if depth == 1
+                else list(map(add, map(q.__mul__, codes[depth - 1]), digits[point]))
+            )
+            if slot >= 0 and depth in reads:
+                values[slot] = list(map(rows[depth].__getitem__, g))
+        yield values
+
+
+def _block_product(vals, columns, nums):
+    # the sum over one shape's rows of numerator times the product of the
+    # row's block values, at one word: vals holds the word's value of every
+    # block, and columns[j] the index of every row's j-th block.  The
+    # products run in nested maps over whole columns, so no Python code
+    # runs per row.
+    terms = nums
+    for column in columns:
+        terms = map(mul, terms, map(getitem, repeat(vals), column))
+    return sum(terms)
 
 
 def _partition_sum(src, direction, invert=False):
@@ -237,7 +350,7 @@ def _partition_sum(src, direction, invert=False):
     # row has coefficient 1 in every direction into moments and is the only
     # row reading the full word, so out(w) is src(w) minus the other rows,
     # which read only shorter words, solved already.  out(w) reads as 0 while
-    # they are summed, so the one-block row drops out as a zero product.
+    # they are summed, so the one-block row drops out with that zero length.
     #
     # The sum runs on integers.  The values read at length k (the input's
     # rows, or the outputs solved so far) are numerators over dens[k]; a row
@@ -246,41 +359,38 @@ def _partition_sum(src, direction, invert=False):
     # `big` of those products by one factor, and each length's output row
     # is reduced once.
     #
-    # Each word reads the value of every distinct block of the table once,
-    # into `vals` keyed by the block; the rows then look their blocks up
-    # there, so a subword is built and hashed once per distinct block, not
-    # once per block of every row.
+    # Each length gathers the value of every block at every word once
+    # (_gathered); each word then multiplies whole columns of its block
+    # values (_block_product), one call per shape, so no subword is built
+    # and no Python code runs per row.  A shape reading a length whose
+    # values are all 0 adds nothing and is skipped.
     #
     # Every length up to max_order reads a table built from the enumeration,
     # so the enumeration bound is checked for the longest length before any
     # table is built.
     partitions._check_enum_n(src.max_order)
-    num = {}
+    q = len(src.alphabet)
     out_rows, out_dens = [[0]], [1]
     rows, dens = (out_rows, out_dens) if invert else (src._rows, src._dens)
     for m in range(1, src.max_order + 1):
-        words = list(product(src.alphabet, repeat=m))
         if invert:  # the outputs of length m read as 0 until solved
-            out_rows.append([0] * len(words))
+            out_rows.append([0] * q**m)
             out_dens.append(1)
-        num.update(zip(words, rows[m]))
-        den, shapes, distinct = _terms(direction, m)
+        den, shapes, plan = _terms(direction, m)
+        zero = [not any(row) for row in rows[: m + 1]]
+        shapes = [s for s in shapes if not any(map(zero.__getitem__, s[0]))]
         big, lifts = _common([prod(dens[k] for k in shape) for shape, _, _ in shapes])
-        shapes = [(all_blocks, nums, lift) for (_, all_blocks, nums), lift in zip(shapes, lifts)]
         out_den = den * big
-        sums = []
-        for w in words:
-            padded = (None,) + w  # a dummy letter at 0: 1-based blocks index it
-            vals = {b: num[tuple([padded[i] for i in b])] for b in distinct}
-            total = 0
-            for all_blocks, nums, factor in shapes:
-                part = 0
-                for blocks, c in zip(all_blocks, nums):
-                    term = _block_product(vals, blocks, c)
-                    if term is not None:
-                        part += term
-                total += part * factor
-            sums.append(total)
+        if shapes:
+            reads = set().union(*(shape for shape, _, _ in shapes))
+            shapes = [(columns, nums, lift) for (_, columns, nums), lift in zip(shapes, lifts)]
+            sums = [
+                sum(_block_product(vals, columns, nums) * lift for columns, nums, lift in shapes)
+                for values in _gathered(rows, m, q, plan, reads)
+                for vals in zip(*values)
+            ]
+        else:
+            sums = [0] * q**m
         if invert:  # out(w) = src(w) - total / out_den
             src_den = src._dens[m]
             sums = [v * out_den - t * src_den for v, t in zip(src._rows[m], sums)]
@@ -288,8 +398,6 @@ def _partition_sum(src, direction, invert=False):
         row, out_den = _reduced(sums, out_den)
         # in an inversion this replaces the zero row that length m read
         out_rows[m:], out_dens[m:] = [row], [out_den]
-        if invert:
-            num.update(zip(words, row))
     return src._with_rows(zip(out_rows, out_dens))
 
 

@@ -4,6 +4,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import pytest
 
@@ -407,6 +408,7 @@ class TestCachedTerms:
         for owner, name in (
             (partitions, "_nc_blocks"),
             (cumulants, "_grouped"),
+            (cumulants, "_columns"),
             (cumulants, "_terms"),
             (trees, "omega"),
         ):
@@ -468,14 +470,39 @@ class TestCachedTerms:
         assert touched == {
             "nccumulants.partitions._nc_blocks",
             "nccumulants.cumulants._grouped",
+            "nccumulants.cumulants._columns",
             "nccumulants.cumulants._terms",
             "nccumulants.trees.omega",
             "nccumulants.trees._strict_counts",
         }
         assert partitions._nc_blocks.cache_info().currsize == 67
         assert cumulants._grouped.cache_info().currsize == 11
+        assert cumulants._columns.cache_info().currsize == 11
         assert cumulants._terms.cache_info().currsize == 11
         assert trees.omega.cache_info().currsize == 112
+
+    def test_directions_share_columns(self):
+        # a direction keeping every row reads _grouped's own columns, and
+        # directions keeping the same rows read one copy of them
+        n = 7
+        grouped = cumulants._grouped(n)[3]
+
+        def columns(direction):
+            return [c for _, c, _ in cumulants._terms(direction, n)[1]]
+
+        for direction in (("free", "moment"), ("monotone", "moment")):
+            assert all(a is b for a, (_, b, _, _) in zip(columns(direction), grouped, strict=True))
+        irreducible = [
+            ("free", "boolean"),
+            ("boolean", "free"),
+            ("monotone", "free"),
+            ("monotone", "boolean"),
+        ]
+        first = columns(irreducible[0])
+        for direction in irreducible[1:]:
+            assert all(a is b for a, b in zip(columns(direction), first, strict=True))
+        rows = [sum(len(c[0]) for c in cs) for cs in (columns(("boolean", "moment")), first)]
+        assert rows == [2 ** (n - 1), 132]
 
     def test_show_order_builds_each_table_once(self, monkeypatch, tmp_path):
         # --show-order reads the table the conversion groups, so no order's
@@ -560,14 +587,14 @@ class TestIntegerKernel:
         assert moments_from(kind, cumulants_from_moments(kind, phi)) == phi
 
     def test_block_products_are_integers(self, monkeypatch):
-        # every value and coefficient the block products read is an int
+        # every value and numerator the block products read is an int
         seen = []
         original = cumulants._block_product
 
-        def checked(vals, blocks, start):
-            seen.append(type(start))
-            seen.extend(type(vals[b]) for b in blocks)
-            return original(vals, blocks, start)
+        def checked(vals, columns, nums):
+            seen.extend(map(type, vals))
+            seen.extend(map(type, nums))
+            return original(vals, columns, nums)
 
         monkeypatch.setattr(cumulants, "_block_product", checked)
         src = _kernel_inputs(4)["prime-denominators"]
@@ -577,15 +604,8 @@ class TestIntegerKernel:
                     convert(CumulantFamily(x, src), y)
         assert seen and set(seen) == {int}
 
-    @pytest.mark.parametrize(
-        "direction",
-        _CLOSED + [("moment", kind) for kind in cumulants.CUMULANT_KINDS],
-        ids="-".join,
-    )
-    def test_one_product_per_row(self, monkeypatch, direction):
-        # one word per length: each word calls _block_product once for
-        # every nonzero-coefficient row of its table, as the traced
-        # block-product count assumes
+    @staticmethod
+    def _counted_products(monkeypatch):
         calls = []
         original = cumulants._block_product
 
@@ -594,13 +614,111 @@ class TestIntegerKernel:
             return original(*args)
 
         monkeypatch.setattr(cumulants, "_block_product", counted)
-        n = 6
-        src = random_functional(("a",), n, 15)
-        convert(CumulantFamily(direction[0], src), direction[1])
+        return calls
+
+    @staticmethod
+    def _expected_products(direction, read):
+        # one product per word and per shape of the direction's table whose
+        # lengths all read a nonzero row, where read[m] holds the rows that
+        # length m reads; and the row products of the old per-row kernel
         table = direction[::-1] if direction[0] == "moment" else direction
-        rows = sum(
-            len(nums)
-            for m in range(1, n + 1)
-            for _, _, nums in cumulants._terms(table, m)[1]
-        )
-        assert len(calls) == rows
+        calls = rows = 0
+        for m in range(1, len(read)):
+            zero = [not any(row) for row in read[m]]
+            for shape, _, nums in cumulants._terms(table, m)[1]:
+                if not any(zero[k] for k in shape):
+                    calls += 2**m
+                rows += len(nums) * 2**m
+        return calls, rows
+
+    @staticmethod
+    def _reads(src, out, invert):
+        # the rows each length reads: the input's, or in an inversion the
+        # outputs solved so far and a zero row at the length being solved
+        if not invert:
+            return [src._rows] * (src.max_order + 1)
+        return [out._rows[:m] + [[0] * 2**m] for m in range(src.max_order + 1)]
+
+    @pytest.mark.parametrize(
+        "direction",
+        _CLOSED + [("moment", kind) for kind in cumulants.CUMULANT_KINDS],
+        ids="-".join,
+    )
+    def test_one_product_per_row(self, monkeypatch, direction):
+        # the products of a word are not made one row at a time: each word
+        # calls _block_product once for every shape of its table that reads
+        # no all-zero length, and there are fewer shapes than rows; the
+        # one-block shape of an inversion reads the length being solved,
+        # still 0
+        calls = self._counted_products(monkeypatch)
+        n = 5
+        src = random_functional(AB, n, 15)
+        out = convert(CumulantFamily(direction[0], src), direction[1]).data
+        reads = self._reads(src, out, direction[0] == "moment")
+        expected, rows = self._expected_products(direction, reads)
+        assert len(calls) == expected < rows
+
+    @pytest.mark.parametrize("kind", cumulants.CUMULANT_KINDS)
+    def test_zero_length_skipped(self, monkeypatch, kind):
+        # cumulants whose length 3 is all zero: the moments skip every shape
+        # reading length 3, and so does the inversion, which reads the
+        # cumulants solved so far; both still equal the plain sums
+        n = 6
+        dense = random_functional(AB, n, 31)
+        kappa = Functional(AB, n, {w: dense.value(w) for w in dense.words() if len(w) != 3})
+        calls = self._counted_products(monkeypatch)
+        phi = moments_from(kind, kappa)
+        plain = _plain_sum(kappa, kind, "moment")
+        assert {w: phi.value(w) for w in phi.words()} == plain
+        assert len(calls) == self._expected_products((kind, "moment"), self._reads(kappa, phi, False))[0]
+        calls.clear()
+        assert cumulants_from_moments(kind, phi) == kappa
+        reads = self._reads(phi, kappa, True)
+        assert not any(reads[5][3])
+        assert len(calls) == self._expected_products(("moment", kind), reads)[0]
+
+    @pytest.mark.parametrize("gather", [1, 90, 400])
+    def test_chunked_gathers_agree(self, monkeypatch, gather):
+        # reading the words a few at a time, in chunks that need not divide
+        # a length, changes no output
+        src = random_functional(AB, 6, 23)
+        expected = {
+            (x, y): convert(CumulantFamily(x, src), y)
+            for x in cumulants.KINDS
+            for y in cumulants.KINDS
+            if x != y
+        }
+        monkeypatch.setattr(cumulants, "_GATHER", gather)
+        chunks = []
+        original = cumulants._gathered
+
+        def recorded(rows, m, q, plan, reads):
+            for values in original(rows, m, q, plan, reads):
+                chunks.append((len(values[0]), len(values), 2**m))
+                yield values
+
+        monkeypatch.setattr(cumulants, "_gathered", recorded)
+        for (x, y), out in expected.items():
+            assert convert(CumulantFamily(x, src), y) == out
+        assert all(width <= max(1, gather // blocks) for width, blocks, _ in chunks)
+        assert any(width < words for width, _, words in chunks)
+
+    def test_gathered_values_bounded(self):
+        # {a,b} at length 12 reads 4,096 words of up to 4,095 blocks, so
+        # the words come in chunks of at most _GATHER values; only the
+        # first chunk is built
+        m = 12
+        blocks = [b for k in range(1, m + 1) for b in combinations(range(1, m + 1), k)]
+        plan = cumulants._gather_plan(blocks)
+        rows = [[0]] + [list(range(2**k)) for k in range(1, m + 1)]
+        width = cumulants._GATHER // len(blocks)
+        assert 1 <= width < 2**m
+        values = next(cumulants._gathered(rows, m, 2, plan, set(range(1, m + 1))))
+        assert len(values) == len(blocks) and {len(v) for v in values} == {width}
+        assert len(values) * width <= cumulants._GATHER
+        # the values are the subwords' codes: block b of word c
+        for b in (0, len(blocks) // 2, len(blocks) - 1):
+            digits = [(c >> (m - i)) & 1 for c in range(width) for i in blocks[b]]
+            k = len(blocks[b])
+            codes = [int("".join(map(str, digits[c * k:(c + 1) * k])), 2) for c in range(width)]
+            assert values[b] == codes
