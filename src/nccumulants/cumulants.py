@@ -12,17 +12,16 @@ only one touching the full word.
 The coefficient inputs are functions of the nesting forest alone: the
 block count, the forest factorial, the interval flag (every tree a single
 block) and, when the forest is one tree (the partition is irreducible),
-the omega of that tree.  So each length's table gives every partition its
-blocks and its forest, and the forests come from the enumeration itself:
-it fixes the block of the first point and partitions each gap on its own,
-so a partition's forest is the forest of the gap after that block plus one
-tree, whose children are the forests of the gaps inside it
-(``partitions._nc_forests``).  The inputs are computed once per distinct
-forest (357 up to order 11) and omega once per distinct tree.  The rows are
-then grouped once per length, by shape (the sorted block sizes) and within
-a shape by forest, and each direction evaluates its coefficient once per
-forest, not once per row; one map gives each direction's coefficient as a
-function of those inputs; one loop sums the block products.
+the omega of that tree.  Each length's table holds its rows in runs of one
+shape (the sorted block sizes) and one forest, composed from the shorter
+lengths' runs and never one partition at a time: a partition is an
+irreducible one followed by a partition of the points after it, and an
+irreducible one is a shorter one whose outer block takes the last point
+over a partition of the points in between (``_nc_terms``).  So the shape,
+the forest and its inputs are composed once per pair of runs, omega once
+per new tree, and each pair's rows are tiled as arrays.  Each direction
+evaluates its coefficient once per forest, from one map of those inputs;
+one loop sums the block products.
 
 That loop runs on integers.  Each direction's order-n coefficients are
 numerators over one common denominator; the values are read from the
@@ -31,38 +30,36 @@ integer over a denominator fixed per length, and each output row is
 reduced once.
 
 A shape's rows are stored as columns: the j-th column lists, for every
-row, the index of its j-th block among the table's blocks (at most 2^n - 1
-of them).  Each length first gathers the value of every block at every
-word, one list per block, from the block's subword codes; a block's codes
-are its prefix's codes times the alphabet size plus the letter at its last
-point, so no subword is built.  Each word then multiplies whole columns of
-its values, numerators included, in nested maps: one call per shape and
-word, and no Python code per row.  A shape that reads a length whose
-values are all zero is skipped.  The words are read in chunks that bound
-the gathered values (``_GATHER``).
+row, the index of its j-th block, which is the block's bitmask over [n]
+less 1 (every non-empty subset is a block of some partition).  Each length
+first gathers the value of every block at every word, one list per block,
+from the block's subword codes; a block's codes are its prefix's codes
+times the alphabet size plus the letter at its last point, so no subword
+is built.  Each word then multiplies whole columns of its values,
+numerators included, in nested maps: one call per shape and word, and no
+Python code per row.  A shape that reads a length whose values are all
+zero is skipped.  The words are read in chunks that bound the gathered
+values (``_GATHER``).
 
 The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
-pure; the forest ids are interned afresh by each build, so no other state
-is kept.  The caches keep, for every order n that a conversion or
-``expansion_terms`` reached: ``_grouped(n)``, the rows of ``_nc_terms(n)``
-(one per non-crossing partition, Catalan(n) rows, not cached) as columns
-of block indices grouped by shape and by forest, with every row's forest
-in table order; ``_columns(n, kept)``, the rows that the directions
-keeping the same forests keep, shared by those directions (a direction
-keeping every row shares ``_grouped``'s columns); ``_terms(direction,
-n)``, one tuple of integer numerators per shape and direction; and
-``partitions._nc_blocks``, the enumerated blocks.  ``trees.omega`` keeps
-one omega per distinct nesting tree (112 up to order 11), read across
-orders.
+pure.  They keep, for every order n that a conversion or
+``expansion_terms`` reached: ``_grouped(n)``, the runs of ``_nc_terms(n)``
+(not cached) as columns grouped by shape, with each forest's key and
+inputs; ``_columns(n, kept)``, the rows that the directions keeping the
+same forests keep, shared by those directions (a direction keeping every
+row shares ``_grouped``'s columns); and ``_terms(direction, n)``, one tuple
+of integer numerators per shape and direction.  ``trees.omega`` keeps one
+omega per distinct nesting tree (112 up to order 11), read across orders.
+No partition is enumerated here, so ``partitions._nc_blocks`` stays empty.
 """
 
 from array import array
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, chain, repeat
 from math import lcm, prod
-from operator import add, getitem, mul
+from operator import add, getitem, iadd, mul
 
 from . import partitions, trees
 from .prelie import Functional, _common, _reduced
@@ -115,36 +112,100 @@ _Forest = namedtuple("_Forest", "nb ff iv om")
 
 
 def _nc_terms(n):
-    # one row per partition of [n], in enumerate_nc order: its 1-based
-    # blocks and its nesting forest, a _Forest built once per distinct
-    # forest from the ids of partitions._nc_forests.  A forest's id follows
-    # its trees' children's, so one forward pass gives every block count
-    # and factorial: a tree over the forest k has nb[k] + 1 blocks and
-    # factorial (nb[k] + 1) * ff[k].  A partition is an interval one exactly
-    # when every tree is a single block (its children the empty forest, id
-    # 0), and irreducible exactly when there is one tree; omega is computed
-    # for those trees only (trees.omega caches it across orders).
+    # the order-n rows as runs (shape, key, forest, columns) of one shape
+    # (sorted block sizes) and one nesting forest, with the forest's key
+    # and _Forest record, the j-th column listing every row's j-th block.
+    # A block's index is its bitmask over [n] less 1, point i the bit i - 1.
+    # A key is (trees, 0), the sorted bracket encodings of the forest's
+    # trees, or for one tree (kids, root), the encodings of its children and
+    # the size of its root block, which is column 0.
+    #
+    # A partition is an irreducible one (its first and last point in one
+    # block, the root) beside a partition of the points after it: NC(n) is
+    # Irr(k) beside NC(n - k), k = 1..n.  And Irr(n) is Irr(k) whose root
+    # takes point n, over a partition of the n - 1 - k points in between.
+    # Both read whole runs of the cached shorter orders, so shape, key and
+    # record are composed once per pair of runs, and the pairs that meet in
+    # one shape and forest are tiled into one run.
     partitions._check_enum_n(n)
-    ids, forests = partitions._nc_forests(n)
-    nb, ff = [], []
-    for forest in forests:
-        nb.append(sum(nb[k] + 1 for k in forest))
-        ff.append(prod((nb[k] + 1) * ff[k] for k in forest))
-    tree = {}
+    code = _code(1 << n)
+    states = {}
+    if n == 1:  # the one block {1}, index 0
+        leaf = _Forest(1, 1, True, trees.omega(trees.RootedTree()))
+        states[(1,), (), 1] = leaf, [((1, [array(code, [0])]), (1, []))]
+    for k in range(1, n):
+        beside, below = _runs(n - k, code, k), _runs(n - 1 - k, code, k)
+        for shape, key, forest, a, columns in _runs(k, code, 0, True):
+            for shape2, key2, forest2, b, columns2 in beside:  # Irr(k), NC(n - k)
+                new = tuple(sorted(shape + shape2)), tuple(sorted(_trees(key) + _trees(key2))), 0
+                if new not in states:
+                    nb, ff = forest.nb + forest2.nb, forest.ff * forest2.ff
+                    states[new] = _Forest(nb, ff, forest.iv and forest2.iv, None), []
+                states[new][1].append(((a, columns), (b, columns2)))
+            kids, root = key  # the root takes point n, over NC(n - 1 - k)
+            rest = list(shape)
+            rest.remove(root)
+            shape = (root + 1, *rest)
+            left = a, [array(code, map((1 << n - 1).__add__, columns[0])), *columns[1:]]
+            for shape2, key2, forest2, b, columns2 in below:
+                children = tuple(sorted(kids + _trees(key2)))
+                new = tuple(sorted(shape + shape2)), children, root + 1
+                if new not in states:
+                    nb = forest.nb + forest2.nb
+                    ff = nb * forest.ff // forest.nb * forest2.ff
+                    om = trees.omega(trees.parse_tree("[" + "".join(children) + "]"))
+                    states[new] = _Forest(nb, ff, not children, om), []
+                states[new][1].append((left, (b, columns2)))
+    return tuple(
+        (shape, (kids, root), forest, _tiled(code, len(shape), pairs))
+        for (shape, kids, root), (forest, pairs) in states.items()
+    )
 
-    def tree_over(k):
-        t = tree.get(k)
-        if t is None:
-            t = tree[k] = trees.RootedTree(map(tree_over, forests[k]))
-        return t
 
-    record = {}
-    for i in dict.fromkeys(ids):
-        forest = forests[i]
-        om = trees.omega(tree_over(forest[0])) if len(forest) == 1 else None
-        record[i] = _Forest(nb[i], ff[i], not any(forest), om)
-    points = tuple(range(1, n + 1))
-    return tuple(zip(partitions._nc_blocks(points), map(record.__getitem__, ids)))
+def _trees(key):
+    # the bracket encodings of the trees of the forest with this key
+    kids, root = key
+    return ("[" + "".join(kids) + "]",) if root else kids
+
+
+def _runs(k, code, shift=0, roots=False):
+    # the runs of _grouped(k) as (shape, key, forest, rows, columns), every
+    # block moved `shift` points right; with roots, only those of one tree.
+    # The partition of no points is one row of no blocks.
+    if not k:
+        return [((), ((), 0), _Forest(0, 1, True, None), 1, [])]
+    forests, keys, shapes = _grouped(k)
+    up = 1 << shift
+    out = []
+    for shape, columns, runs, sizes in shapes:
+        if shift or columns[0].typecode != code:
+            columns = [array(code, map((up - 1).__add__, map(up.__mul__, c))) for c in columns]
+        for i, size, end in zip(runs, sizes, accumulate(sizes)):
+            if not roots or keys[i][1]:
+                out.append((shape, keys[i], forests[i], size, [c[end - size : end] for c in columns]))
+    return out
+
+
+def _tiled(code, width, pairs):
+    # the `width` columns of one run from its pairs of (rows, columns) runs:
+    # every left row beside every right row, left rows outer, so each left
+    # block repeats b times over and the right columns a times whole
+    total = sum(a * b for (a, _), (b, _) in pairs)
+    out = [array(code, [0]) * total for _ in range(width)]
+    r = 0
+    for (a, left), (b, right) in pairs:
+        end = r + a * b
+        for col, c in zip(out, left):
+            if b <= a:
+                for t in range(b):
+                    col[r + t : end : b] = c
+            else:
+                for i, v in zip(range(r, end, b), c):
+                    col[i : i + b] = array(code, [v]) * b
+        for col, c in zip(out[len(left) :], right):
+            col[r:end] = c * a
+        r = end
+    return out
 
 
 # The coefficient of a partition in each closed sum, from its block count,
@@ -175,52 +236,37 @@ def _coefficient(direction, forest):
 
 def _code(count):
     # the array typecode of indices below count: 2 bytes while count < 2^16
-    # (1,188 forests and 8,191 blocks at n = 13)
+    # (905 forests and 4,095 blocks at n = 12)
     return "H" if count < 1 << 16 else "L"
 
 
 @lru_cache(maxsize=None)
 def _grouped(n):
-    # the order-n rows grouped once for every direction, as (forests, order,
-    # blocks, shapes): forests lists each distinct nesting forest of the
-    # rows once, order gives each row's index into forests in table order,
-    # and blocks lists every block of the rows once.  A shape (the sorted
-    # block sizes of a row) holds its rows as (shape, columns, runs,
-    # sizes): the j-th column is an array of the index into blocks of each
-    # row's j-th block, and the rows come in runs of one forest each,
-    # runs[r] the forest's index and sizes[r] its row count.  The rows with
-    # one forest share one _Forest, so its identity keys it and no omega is
-    # hashed.
-    index = {}
-    forests, order = [], []
-    groups = {}
-    for blocks, forest in _nc_terms(n):
-        i = index.get(id(forest))
-        if i is None:
-            i = index[id(forest)] = len(forests)
-            forests.append(forest)
-        order.append(i)
-        shape = tuple(sorted(map(len, blocks)))
-        runs = groups.get(shape)
-        if runs is None:
-            runs = groups[shape] = {}
-        run = runs.get(i)
-        if run is None:
-            run = runs[i] = []
-        run.append(blocks)
-    # the 2^n - 1 blocks indexed in the order the columns first read them
-    blocks = partitions._Memo(lambda block: len(blocks))
-    code, bcode = _code(len(forests)), _code(1 << n)
+    # the order-n rows grouped once for every direction, as (forests, keys,
+    # shapes): forests lists each distinct forest of the runs once, as its
+    # _Forest record, and keys its key (see _nc_terms).  A shape holds its
+    # rows as (shape, columns, runs, sizes): the j-th column is an array of
+    # the index of each row's j-th block, and the rows come in runs of one
+    # forest each, runs[r] the forest's index and sizes[r] its row count.
+    index, groups = {}, {}
+    for shape, key, forest, columns in _nc_terms(n):
+        i = index.setdefault(key, (len(index), forest))[0]
+        groups.setdefault(shape, []).append((i, columns))
+    code = _code(len(index))
     shapes = tuple(
         (
             shape,
-            tuple(array(bcode, map(blocks.__getitem__, c)) for c in zip(*chain(*runs.values()))),
-            array(code, runs),
-            array("L", map(len, runs.values())),
+            tuple(reduce(iadd, c, array(c[0].typecode)) for c in zip(*(c for _, c in runs))),
+            array(code, (i for i, _ in runs)),
+            array("L", (len(c[0]) for _, c in runs)),
         )
         for shape, runs in groups.items()
     )
-    return tuple(forests), array(code, order), tuple(blocks), shapes
+    return tuple(forest for _, forest in index.values()), tuple(index), shapes
+
+
+def _block(index):  # the points of the block with this index, ascending
+    return tuple(p + 1 for p in range((index + 1).bit_length()) if index + 1 >> p & 1)
 
 
 @lru_cache(maxsize=None)
@@ -229,10 +275,10 @@ def _columns(n, kept):
     # each shape as in _grouped, with its kept runs only, and its columns
     # indexing the kept rows' own blocks, which plan gathers
     # (_gather_plan).  The directions that keep the same rows share one
-    # entry, and keeping every row shares _grouped's blocks and columns.
-    _, _, blocks, groups = _grouped(n)
+    # entry, and keeping every row shares _grouped's columns.
+    groups = _grouped(n)[2]
     if all(kept):
-        return groups, _gather_plan(blocks)
+        return groups, _gather_plan(list(map(_block, range((1 << n) - 1))))
     shapes = []
     for shape, columns, runs, sizes in groups:
         keep = [
@@ -245,7 +291,7 @@ def _columns(n, kept):
             columns = [list(chain.from_iterable(map(c.__getitem__, spans))) for c in columns]
             shapes.append((shape, columns, array(_code(len(kept)), runs), array("L", sizes)))
     used = sorted(set().union(*chain.from_iterable(c for _, c, _, _ in shapes)))
-    rank = [0] * len(blocks)
+    rank = [0] * ((1 << n) - 1)
     for new, old in enumerate(used):
         rank[old] = new
     code = _code(len(used))
@@ -253,7 +299,7 @@ def _columns(n, kept):
         (shape, tuple(array(code, map(rank.__getitem__, c)) for c in columns), runs, sizes)
         for shape, columns, runs, sizes in shapes
     )
-    return shapes, _gather_plan(list(map(blocks.__getitem__, used)))
+    return shapes, _gather_plan(list(map(_block, used)))
 
 
 @lru_cache(maxsize=None)
@@ -510,10 +556,21 @@ def expansion_terms(from_kind, to_kind, n):
         )
     # checked first: a table cached before the bound was lowered is refused
     partitions._check_enum_n(n)
-    forests, order, _, _ = _grouped(n)
+    forests, _, shapes = _grouped(n)
     cs = [_coefficient((from_kind, to_kind), forest) for forest in forests]
-    return [
-        (partitions.NCPartition._wrap(blocks), cs[i])
-        for blocks, i in zip(partitions._nc_blocks(tuple(range(1, n + 1))), order)
-        if cs[i] is not None
-    ]
+    # rank the blocks by least point, then size, then points: a row's
+    # ranks, sorted, list its blocks in canonical order, and the rows
+    # sorted by them come in enumerate_nc's order, which fixes the first
+    # block by size and points and then partitions each gap in turn
+    blocks = sorted(map(_block, range((1 << n) - 1)), key=lambda b: (b[0], len(b), b))
+    rank = sorted(range(len(blocks)), key=lambda r: sum(1 << p for p in blocks[r]))
+    rows = []
+    for _, columns, runs, sizes in shapes:
+        columns = [list(map(rank.__getitem__, c)) for c in columns]
+        for i, size, end in zip(runs, sizes, accumulate(sizes)):
+            if cs[i] is not None:
+                ranks = map(sorted, zip(*(c[end - size : end] for c in columns)))
+                rows += zip(map(tuple, ranks), repeat(cs[i]))
+    rows.sort()
+    wrap = partitions.NCPartition._wrap
+    return [(wrap(tuple(map(blocks.__getitem__, ranks))), c) for ranks, c in rows]

@@ -1,5 +1,8 @@
+import gc
 import json
+import pathlib
 import threading
+import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -31,6 +34,22 @@ AB = ("a", "b")
 def _pair_cumulant(max_order):
     # kappa(a^n) = 1 if n == 2 else 0, on the one-letter alphabet
     return Functional(("a",), max_order, {("a", "a"): 1})
+
+
+def _points(index, n):
+    # the block with this table index, decoded here: index + 1 is its
+    # bitmask over [n], point i the bit i - 1
+    return [i for i in range(1, n + 1) if (index + 1) >> (i - 1) & 1]
+
+
+def _table_rows(n):
+    # every row of the order-n table read back from the grouped columns, as
+    # (partition, shape, forest index, row of block indices); NCPartition
+    # checks that the decoded blocks are a non-crossing partition
+    for shape, columns, runs, sizes in cumulants._grouped(n)[2]:
+        owners = [i for i, size in zip(runs, sizes) for _ in range(size)]
+        for row, i in zip(zip(*columns), owners, strict=True):
+            yield partitions.NCPartition([_points(b, n) for b in row]), shape, i, row
 
 
 def _plain_sum(src, from_kind, to_kind):
@@ -325,18 +344,31 @@ class TestExpansionTerms:
     @pytest.mark.parametrize("direction", sorted(cumulants._COEFF), ids="-".join)
     def test_rows_match_table_rows(self, direction):
         # the conversions and expansion_terms share the grouped table, so
-        # its grouping is checked here against rows built straight from
-        # _nc_terms and _COEFF: a reducible row enters no sum between
-        # cumulants
+        # its grouping is checked here against rows read straight from the
+        # composed runs of _nc_terms and _COEFF: a reducible row enters no
+        # sum between cumulants
         coeff = cumulants._COEFF[direction]
         for n in range(1, 8):
-            expected = Counter(
-                (partitions.NCPartition._wrap(blocks).text(), Fraction(coeff(*forest)))
-                for blocks, forest in cumulants._nc_terms(n)
-                if forest.om is not None or direction[1] == "moment"
-            )
+            expected = Counter()
+            for _, _, forest, columns in cumulants._nc_terms(n):
+                if forest.om is not None or direction[1] == "moment":
+                    for row in zip(*columns):
+                        p = partitions.NCPartition([_points(b, n) for b in row])
+                        expected[p.text(), Fraction(coeff(*forest))] += 1
             rows = Counter((p.text(), c) for p, c in expansion_terms(*direction, n))
             assert rows == expected, n
+
+    def test_rows_match_golden_order_six(self):
+        # every row of all nine expansions at order 6, partition text and
+        # coefficient in the order listed, as the table built one
+        # partition at a time gave them
+        golden = pathlib.Path(__file__).with_name("expansion_order6.txt")
+        rows = [
+            f"{x} {y} {p.text()} {c}"
+            for x, y in sorted(cumulants._COEFF)
+            for p, c in expansion_terms(x, y, 6)
+        ]
+        assert rows == golden.read_text(encoding="utf-8").splitlines()
 
     def test_moment_expansion(self):
         rows = {p.text(): c for p, c in expansion_terms("monotone", "moment", 3)}
@@ -354,53 +386,64 @@ class TestExpansionTerms:
 
 
 class TestCachedTerms:
-    # the table's rows come from forests composed in the enumeration, the
-    # checks below from partitions.nesting_forest, which reads each
+    # the table's rows are composed from shorter orders' runs; the checks
+    # below read them back from the grouped columns and compare them with
+    # enumerate_nc and with partitions.nesting_forest, which reads each
     # partition's parent array, so the two routes share no code
 
     def test_forest_factorials_match_tree_route(self):
-        # the rows in enumeration order, each with its block count and the
-        # factorial of the nesting forest read off its parent array
+        # every non-crossing partition is one row, exactly once, of its own
+        # shape, with its block count and the factorial of the nesting
+        # forest read off its parent array
         for n in range(1, 11):
-            rows = cumulants._nc_terms(n)
-            for (blocks, forest), p in zip(rows, partitions.enumerate_nc(n), strict=True):
-                assert blocks == p.blocks
-                assert forest.nb == len(blocks), p.text()
-                assert forest.ff == trees.forest_factorial(partitions.nesting_forest(p)), p.text()
+            forests = cumulants._grouped(n)[0]
+            seen = Counter()
+            for p, shape, i, _ in _table_rows(n):
+                seen[p] += 1
+                assert shape == tuple(sorted(map(len, p.blocks))), p.text()
+                assert forests[i].nb == p.num_blocks, p.text()
+                assert forests[i].ff == trees.forest_factorial(partitions.nesting_forest(p)), p.text()
+            assert seen == Counter(partitions.enumerate_nc(n)), n
+            assert set(seen.values()) == {1}, n
 
     def test_interval_flags_match_predicate(self):
         for n in range(1, 11):
-            for blocks, forest in cumulants._nc_terms(n):
-                p = partitions.NCPartition._wrap(blocks)
-                assert forest.iv == partitions.is_interval(p), p.text()
+            forests = cumulants._grouped(n)[0]
+            for p, _, i, _ in _table_rows(n):
+                assert forests[i].iv == partitions.is_interval(p), p.text()
 
     def test_omega_matches_recursive_oracle(self):
         # the table's omega against the Bernoulli recursion over block subsets
         for n in range(1, 9):
-            for blocks, forest in cumulants._nc_terms(n):
-                p = partitions.NCPartition._wrap(blocks)
+            forests = cumulants._grouped(n)[0]
+            for p, _, i, _ in _table_rows(n):
                 if p.is_irreducible():
-                    assert forest.om == oracle.omega_recursive(p), p.text()
+                    assert forests[i].om == oracle.omega_recursive(p), p.text()
                 else:
-                    assert forest.om is None, p.text()
+                    assert forests[i].om is None, p.text()
 
     def test_omega_matches_nesting_tree(self):
         for n in range(1, 11):
-            for blocks, forest in cumulants._nc_terms(n):
-                if forest.om is not None:
-                    p = partitions.NCPartition._wrap(blocks)
+            forests = cumulants._grouped(n)[0]
+            for p, _, i, _ in _table_rows(n):
+                if forests[i].om is not None:
                     tree = partitions.nesting_forest(p).trees[0]
-                    assert forest.om == trees.omega(tree), p.text()
+                    assert forests[i].om == trees.omega(tree), p.text()
 
     def test_rows_share_one_record_per_forest(self):
-        # _grouped keys the rows by the identity of their record, so equal
-        # nesting forests must share one record and distinct ones must not
+        # the rows of one forest index share its record, so they must have
+        # one nesting forest and, if irreducible, one root block size (the
+        # composition extends the root, its column 0); distinct indices
+        # must differ in one of the two
         for n in range(1, 10):
             forest_of = {}
-            for blocks, forest in cumulants._nc_terms(n):
-                nesting = partitions.nesting_forest(partitions.NCPartition._wrap(blocks))
-                assert forest_of.setdefault(id(forest), nesting) == nesting
-            assert len(set(forest_of.values())) == len(forest_of), n
+            for p, _, i, row in _table_rows(n):
+                root = len(p.blocks[0]) if p.is_irreducible() else 0
+                if root:
+                    assert _points(row[0], n) == list(p.blocks[0]), p.text()
+                nesting = partitions.nesting_forest(p)
+                assert forest_of.setdefault(i, (nesting, root)) == (nesting, root), p.text()
+            assert len(set(forest_of.values())) == len(forest_of) == len(cumulants._grouped(n)[0]), n
 
     @staticmethod
     def _fresh_caches(monkeypatch):
@@ -433,13 +476,13 @@ class TestCachedTerms:
         assert all(result == expected for result in results)
 
     def test_enumeration_bound_on_table_path(self, monkeypatch):
-        # the tables read the enumeration's blocks directly; the bound is
-        # still checked, before anything is enumerated
+        # the tables are composed without enumerating; the bound is still
+        # checked, before any run is read or composed
         self._fresh_caches(monkeypatch)
         cumulants._grouped(9)
         enumerated = []
-        for name in ("_nc_blocks", "_nc_forests"):
-            monkeypatch.setattr(partitions, name, lambda arg: enumerated.append(arg))
+        for owner, name in ((partitions, "_nc_blocks"), (cumulants, "_runs")):
+            monkeypatch.setattr(owner, name, lambda *args: enumerated.append(args))
         monkeypatch.setenv("NC_CUMULANTS_MAX_N", "8")
         with pytest.raises(ValueError, match="enumeration bound"):
             cumulants._nc_terms(9)
@@ -454,9 +497,9 @@ class TestCachedTerms:
 
     def test_cache_sizes(self, monkeypatch):
         # what the table caches keep after a conversion at order 11: one
-        # entry per order, one omega per distinct nesting tree, and the
-        # enumeration's blocks per point run reached.  The forests are
-        # interned per build, so no other memo cache is touched.
+        # entry per order and one omega per distinct nesting tree.  The
+        # tables are composed without enumerating and the forests keyed
+        # per build, so no other memo cache is touched.
         self._fresh_caches(monkeypatch)
         caches = {
             f"{module.__name__}.{name}": fn
@@ -468,14 +511,12 @@ class TestCachedTerms:
         convert(CumulantFamily("free", _pair_cumulant(11)), "monotone")
         touched = {name for name, fn in caches.items() if fn.cache_info() != before[name]}
         assert touched == {
-            "nccumulants.partitions._nc_blocks",
             "nccumulants.cumulants._grouped",
             "nccumulants.cumulants._columns",
             "nccumulants.cumulants._terms",
             "nccumulants.trees.omega",
             "nccumulants.trees._strict_counts",
         }
-        assert partitions._nc_blocks.cache_info().currsize == 67
         assert cumulants._grouped.cache_info().currsize == 11
         assert cumulants._columns.cache_info().currsize == 11
         assert cumulants._terms.cache_info().currsize == 11
@@ -485,7 +526,7 @@ class TestCachedTerms:
         # a direction keeping every row reads _grouped's own columns, and
         # directions keeping the same rows read one copy of them
         n = 7
-        grouped = cumulants._grouped(n)[3]
+        grouped = cumulants._grouped(n)[2]
 
         def columns(direction):
             return [c for _, c, _ in cumulants._terms(direction, n)[1]]
@@ -506,9 +547,9 @@ class TestCachedTerms:
 
     def test_show_order_builds_each_table_once(self, monkeypatch, tmp_path):
         # --show-order reads the table the conversion groups, so no order's
-        # rows or forests are built twice
+        # rows are composed twice, and it enumerates no partition
         self._fresh_caches(monkeypatch)
-        built = {"_nc_terms": Counter(), "_nc_forests": Counter()}
+        built = {"_nc_terms": Counter(), "_nc_blocks": Counter()}
 
         def counting(fn, counter):
             def wrapper(n):
@@ -517,7 +558,7 @@ class TestCachedTerms:
 
             return wrapper
 
-        for owner, name in ((cumulants, "_nc_terms"), (partitions, "_nc_forests")):
+        for owner, name in ((cumulants, "_nc_terms"), (partitions, "_nc_blocks")):
             monkeypatch.setattr(owner, name, counting(getattr(owner, name), built[name]))
         m = 6
         src = tmp_path / "in.json"
@@ -525,7 +566,30 @@ class TestCachedTerms:
         argv = ["convert", "--from", "free", "--to", "monotone", "--input", str(src)]
         argv += ["--output", str(tmp_path / "out.json"), "--show-order", str(m)]
         assert cli.main(argv) == 0
-        assert built == {name: Counter(range(1, m + 1)) for name in built}
+        assert built == {"_nc_terms": Counter(range(1, m + 1)), "_nc_blocks": Counter()}
+
+    def test_table_memory(self, monkeypatch):
+        # the six directions of the uni-deep benchmark, {a} at order 11,
+        # from empty caches: no partition is enumerated, and the tables
+        # keep less than 8 MB alive with a peak under 10 MB while built
+        # (14.7 and 16.1 MB when every partition was built as block tuples)
+        self._fresh_caches(monkeypatch)
+        inputs = {"free": _pair_cumulant(11), "moment": random_functional(("a",), 11, 3)}
+        enumerated = partitions._nc_blocks.cache_info()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for x, src in inputs.items():
+                for y in cumulants.KINDS:
+                    if y != x:
+                        convert(CumulantFamily(x, src), y)
+            gc.collect()
+            kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert partitions._nc_blocks.cache_info() == enumerated
+        assert kept < 8_000_000 and peak < 10_000_000, (kept, peak)
 
 
 def _primes(count):

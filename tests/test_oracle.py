@@ -273,6 +273,20 @@ class TestSuites:
             random_functional(("a",), 9, seed + 1),
         ]
 
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_magnus_closed_seeds(self, seed, monkeypatch):
+        # the two inputs are drawn from seed and seed + 1, at the orders
+        # the closed sums are checked at
+        calls = []
+
+        def record(alphabet, max_order, seed):
+            calls.append((alphabet, max_order, seed))
+            return random_functional(alphabet, max_order, seed)
+
+        monkeypatch.setattr(oracle, "random_functional", record)
+        oracle.suite_magnus_closed(seed=seed, max_order=6)
+        assert calls == [(("a", "b"), 6, seed), (("a",), 9, seed + 1)]
+
     @pytest.mark.parametrize("check", ALL_CHECKS)
     def test_each_check_reports_a_failure(self, check, monkeypatch):
         suite, module, name, corrupt = CORRUPTIONS[check]

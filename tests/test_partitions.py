@@ -2,7 +2,7 @@ from math import comb, factorial
 
 import pytest
 
-from nccumulants import oracle, partitions, trees
+from nccumulants import cumulants, oracle, partitions, trees
 from nccumulants.partitions import (
     BlockSubset,
     MonotonePartition,
@@ -217,15 +217,21 @@ class TestStructure:
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_composed_forests_match_nesting_forest(self, n):
-        # the forests composed beside the enumeration against the ones read
-        # off each partition's parent array, and one id per distinct forest
-        ids, forests = partitions._nc_forests(n)
-        built = []
-        for forest in forests:  # a tree's children come before it
-            built.append(trees.Forest(trees.RootedTree(built[k].trees) for k in forest))
-        assert len(set(built)) == len(built)
-        for i, p in zip(ids, enumerate_nc(n), strict=True):
-            assert built[i] == nesting_forest(p), p.text()
+        # the forests that the closed-sum tables compose, read back as each
+        # row's key, against the ones read off each partition's parent
+        # array; a key is the sorted encodings of the forest's trees, or of
+        # one tree's children with the size of its root block
+        _, keys, shapes = cumulants._grouped(n)
+        for _, columns, runs, sizes in shapes:
+            owners = [i for i, size in zip(runs, sizes) for _ in range(size)]
+            for row, i in zip(zip(*columns), owners, strict=True):
+                p = NCPartition([[x for x in range(1, n + 1) if (b + 1) >> (x - 1) & 1] for b in row])
+                encodings, root = keys[i]
+                text = "".join(encodings)
+                if root:
+                    text = f"[{text}]"
+                    assert root == len(p.blocks[0]) and p.is_irreducible(), p.text()
+                assert trees.parse_forest(text) == nesting_forest(p), p.text()
 
     def test_forest_vertex_count(self):
         for n in range(1, 7):
