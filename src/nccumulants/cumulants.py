@@ -14,14 +14,10 @@ block count, the forest factorial, the interval flag (every tree a single
 block) and, when the forest is one tree (the partition is irreducible),
 the omega of that tree.  Each length's table holds its rows in runs of one
 shape (the sorted block sizes) and one forest, composed from the shorter
-lengths' runs and never one partition at a time: a partition is an
-irreducible one followed by a partition of the points after it, and an
-irreducible one is a shorter one whose outer block takes the last point
-over a partition of the points in between (``_nc_terms``).  So the shape,
-the forest and its inputs are composed once per pair of runs, omega once
-per new tree, and each pair's rows are tiled as arrays.  Each direction
-evaluates its coefficient once per forest, from one map of those inputs;
-one loop sums the block products.
+lengths' runs and never one partition at a time (``_nc_terms``): the
+shape, the forest and its inputs once per pair of runs, omega once per new
+tree.  Each direction evaluates its coefficient once per forest, from one
+map of those inputs; one loop sums the block products.
 
 That loop runs on integers.  Each direction's order-n coefficients are
 numerators over one common denominator; the values are read from the
@@ -30,16 +26,15 @@ integer over a denominator fixed per length, and each output row is
 reduced once.
 
 A shape's rows are stored as columns: the j-th column lists, for every
-row, the index of its j-th block, which is the block's bitmask over [n]
-less 1 (every non-empty subset is a block of some partition).  Each length
-first gathers the value of every block at every word, one list per block,
-from the block's subword codes; a block's codes are its prefix's codes
-times the alphabet size plus the letter at its last point, so no subword
-is built.  Each word then multiplies whole columns of its values,
-numerators included, in nested maps: one call per shape and word, and no
-Python code per row.  A shape that reads a length whose values are all
-zero is skipped.  The words are read in chunks that bound the gathered
-values (``_GATHER``).
+row, the index of its j-th block among the 2^n - 1 non-empty subsets of
+[n] (each a block of some partition).  Each length first gathers the value
+of every block at every word, one list per block, from the block's subword
+codes; a block's codes are its prefix's codes times the alphabet size plus
+the letter at its last point, so no subword is built.  Each word then
+multiplies whole columns of its values, numerators included, in nested
+maps: one call per shape and word, and no Python code per row.  A shape
+that reads a length whose values are all zero is skipped.  The words are
+read in chunks that bound the gathered values (``_GATHER``).
 
 The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
 pure.  They keep, for every order n that a conversion or
@@ -113,26 +108,23 @@ _Forest = namedtuple("_Forest", "nb ff iv om")
 
 def _nc_terms(n):
     # the order-n rows as runs (shape, key, forest, columns) of one shape
-    # (sorted block sizes) and one nesting forest, with the forest's key
-    # and _Forest record, the j-th column listing every row's j-th block.
-    # A block's index is its bitmask over [n] less 1, point i the bit i - 1.
-    # A key is (trees, 0), the sorted bracket encodings of the forest's
-    # trees, or for one tree (kids, root), the encodings of its children and
-    # the size of its root block, which is column 0.
+    # (sorted block sizes) and one nesting forest, with its key and _Forest
+    # record; the j-th column lists every row's j-th block as its bitmask
+    # over [n], point i the bit i - 1.  A key is (trees, 0), the sorted
+    # bracket encodings of the forest's trees, or for one tree (kids, root),
+    # its children's encodings and the size of its root block, column 0.
     #
-    # A partition is an irreducible one (its first and last point in one
-    # block, the root) beside a partition of the points after it: NC(n) is
-    # Irr(k) beside NC(n - k), k = 1..n.  And Irr(n) is Irr(k) whose root
-    # takes point n, over a partition of the n - 1 - k points in between.
-    # Both read whole runs of the cached shorter orders, so shape, key and
-    # record are composed once per pair of runs, and the pairs that meet in
-    # one shape and forest are tiled into one run.
+    # NC(n) is Irr(k) beside NC(n - k), k = 1..n, where Irr holds the
+    # irreducible partitions (first and last point in the root block), and
+    # Irr(n) is Irr(k) whose root takes point n over NC(n - 1 - k) in
+    # between.  Each pair of cached runs is composed once, and the pairs
+    # that meet in one shape and forest are tiled into one run.
     partitions._check_enum_n(n)
     code = _code(1 << n)
     states = {}
-    if n == 1:  # the one block {1}, index 0
+    if n == 1:  # the one block {1}
         leaf = _Forest(1, 1, True, trees.omega(trees.RootedTree()))
-        states[(1,), (), 1] = leaf, [((1, [array(code, [0])]), (1, []))]
+        states[(1,), (), 1] = leaf, [((1, [array(code, [1])]), (1, []))]
     for k in range(1, n):
         beside, below = _runs(n - k, code, k), _runs(n - 1 - k, code, k)
         for shape, key, forest, a, columns in _runs(k, code, 0, True):
@@ -143,10 +135,8 @@ def _nc_terms(n):
                     states[new] = _Forest(nb, ff, forest.iv and forest2.iv, None), []
                 states[new][1].append(((a, columns), (b, columns2)))
             kids, root = key  # the root takes point n, over NC(n - 1 - k)
-            rest = list(shape)
-            rest.remove(root)
-            shape = (root + 1, *rest)
-            left = a, [array(code, map((1 << n - 1).__add__, columns[0])), *columns[1:]]
+            shape = shape[: shape.index(root)] + (root + 1,) + shape[shape.index(root) + 1 :]
+            left = a, [array(code, map((1 << n - 1).__or__, columns[0])), *columns[1:]]
             for shape2, key2, forest2, b, columns2 in below:
                 children = tuple(sorted(kids + _trees(key2)))
                 new = tuple(sorted(shape + shape2)), children, root + 1
@@ -169,17 +159,16 @@ def _trees(key):
 
 
 def _runs(k, code, shift=0, roots=False):
-    # the runs of _grouped(k) as (shape, key, forest, rows, columns), every
-    # block moved `shift` points right; with roots, only those of one tree.
-    # The partition of no points is one row of no blocks.
+    # the runs of _grouped(k) as (shape, key, forest, rows, columns), each
+    # block as its bitmask moved `shift` points right; with roots, only the
+    # runs of one tree.  The partition of no points is one row of no blocks.
     if not k:
         return [((), ((), 0), _Forest(0, 1, True, None), 1, [])]
-    forests, keys, shapes = _grouped(k)
-    up = 1 << shift
+    forests, keys, blocks, shapes = _grouped(k)
+    masks = [mask << shift for mask in blocks]
     out = []
     for shape, columns, runs, sizes in shapes:
-        if shift or columns[0].typecode != code:
-            columns = [array(code, map((up - 1).__add__, map(up.__mul__, c))) for c in columns]
+        columns = [array(code, map(masks.__getitem__, c)) for c in columns]
         for i, size, end in zip(runs, sizes, accumulate(sizes)):
             if not roots or keys[i][1]:
                 out.append((shape, keys[i], forests[i], size, [c[end - size : end] for c in columns]))
@@ -187,9 +176,9 @@ def _runs(k, code, shift=0, roots=False):
 
 
 def _tiled(code, width, pairs):
-    # the `width` columns of one run from its pairs of (rows, columns) runs:
-    # every left row beside every right row, left rows outer, so each left
-    # block repeats b times over and the right columns a times whole
+    # the `width` columns of one run from its (rows, columns) pairs: every
+    # left row beside every right one, each left block b times over and the
+    # right columns a times whole
     total = sum(a * b for (a, _), (b, _) in pairs)
     out = [array(code, [0]) * total for _ in range(width)]
     r = 0
@@ -243,30 +232,39 @@ def _code(count):
 @lru_cache(maxsize=None)
 def _grouped(n):
     # the order-n rows grouped once for every direction, as (forests, keys,
-    # shapes): forests lists each distinct forest of the runs once, as its
-    # _Forest record, and keys its key (see _nc_terms).  A shape holds its
-    # rows as (shape, columns, runs, sizes): the j-th column is an array of
-    # the index of each row's j-th block, and the rows come in runs of one
-    # forest each, runs[r] the forest's index and sizes[r] its row count.
+    # blocks, shapes): forests lists each distinct forest of the runs once,
+    # as its _Forest record, keys its key (see _nc_terms), and blocks the
+    # bitmask of every non-empty subset of [n].  A shape holds its rows as
+    # (shape, columns, runs, sizes): the j-th column is an array of the
+    # index into blocks of each row's j-th block, and the rows come in runs
+    # of one forest each, runs[r] the forest's index and sizes[r] its row
+    # count.  Blocks are indexed in the order the columns first read them,
+    # so the products read the gathered values nearly in order (5% faster
+    # at order 11 than by bitmask).
     index, groups = {}, {}
     for shape, key, forest, columns in _nc_terms(n):
         i = index.setdefault(key, (len(index), forest))[0]
         groups.setdefault(shape, []).append((i, columns))
-    code = _code(len(index))
+    columns = {
+        shape: [reduce(iadd, c, array(c[0].typecode)) for c in zip(*(c for _, c in runs))]
+        for shape, runs in groups.items()
+    }
+    blocks = array(_code(1 << n), dict.fromkeys(chain.from_iterable(chain(*columns.values()))))
+    rank, code = {mask: new for new, mask in enumerate(blocks)}, _code(len(index))
     shapes = tuple(
         (
             shape,
-            tuple(reduce(iadd, c, array(c[0].typecode)) for c in zip(*(c for _, c in runs))),
+            tuple(array(c.typecode, map(rank.__getitem__, c)) for c in columns[shape]),
             array(code, (i for i, _ in runs)),
             array("L", (len(c[0]) for _, c in runs)),
         )
         for shape, runs in groups.items()
     )
-    return tuple(forest for _, forest in index.values()), tuple(index), shapes
+    return tuple(forest for _, forest in index.values()), tuple(index), blocks, shapes
 
 
-def _block(index):  # the points of the block with this index, ascending
-    return tuple(p + 1 for p in range((index + 1).bit_length()) if index + 1 >> p & 1)
+def _block(mask):  # the points of the block with this bitmask, ascending
+    return tuple(p + 1 for p in range(mask.bit_length()) if mask >> p & 1)
 
 
 @lru_cache(maxsize=None)
@@ -276,9 +274,9 @@ def _columns(n, kept):
     # indexing the kept rows' own blocks, which plan gathers
     # (_gather_plan).  The directions that keep the same rows share one
     # entry, and keeping every row shares _grouped's columns.
-    groups = _grouped(n)[2]
+    _, _, blocks, groups = _grouped(n)
     if all(kept):
-        return groups, _gather_plan(list(map(_block, range((1 << n) - 1))))
+        return groups, _gather_plan(list(map(_block, blocks)))
     shapes = []
     for shape, columns, runs, sizes in groups:
         keep = [
@@ -291,7 +289,7 @@ def _columns(n, kept):
             columns = [list(chain.from_iterable(map(c.__getitem__, spans))) for c in columns]
             shapes.append((shape, columns, array(_code(len(kept)), runs), array("L", sizes)))
     used = sorted(set().union(*chain.from_iterable(c for _, c, _, _ in shapes)))
-    rank = [0] * ((1 << n) - 1)
+    rank = [0] * len(blocks)
     for new, old in enumerate(used):
         rank[old] = new
     code = _code(len(used))
@@ -299,7 +297,7 @@ def _columns(n, kept):
         (shape, tuple(array(code, map(rank.__getitem__, c)) for c in columns), runs, sizes)
         for shape, columns, runs, sizes in shapes
     )
-    return shapes, _gather_plan(list(map(_block, used)))
+    return shapes, _gather_plan([_block(blocks[i]) for i in used])
 
 
 @lru_cache(maxsize=None)
@@ -556,14 +554,15 @@ def expansion_terms(from_kind, to_kind, n):
         )
     # checked first: a table cached before the bound was lowered is refused
     partitions._check_enum_n(n)
-    forests, _, shapes = _grouped(n)
+    forests, _, blocks, shapes = _grouped(n)
     cs = [_coefficient((from_kind, to_kind), forest) for forest in forests]
     # rank the blocks by least point, then size, then points: a row's
     # ranks, sorted, list its blocks in canonical order, and the rows
     # sorted by them come in enumerate_nc's order, which fixes the first
     # block by size and points and then partitions each gap in turn
-    blocks = sorted(map(_block, range((1 << n) - 1)), key=lambda b: (b[0], len(b), b))
-    rank = sorted(range(len(blocks)), key=lambda r: sum(1 << p for p in blocks[r]))
+    blocks = list(map(_block, blocks))
+    order = sorted(range(len(blocks)), key=lambda i: (blocks[i][0], len(blocks[i]), blocks[i]))
+    rank = sorted(range(len(order)), key=order.__getitem__)
     rows = []
     for _, columns, runs, sizes in shapes:
         columns = [list(map(rank.__getitem__, c)) for c in columns]
@@ -573,4 +572,5 @@ def expansion_terms(from_kind, to_kind, n):
                 rows += zip(map(tuple, ranks), repeat(cs[i]))
     rows.sort()
     wrap = partitions.NCPartition._wrap
+    blocks = list(map(blocks.__getitem__, order))
     return [(wrap(tuple(map(blocks.__getitem__, ranks))), c) for ranks, c in rows]

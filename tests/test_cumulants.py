@@ -36,19 +36,22 @@ def _pair_cumulant(max_order):
     return Functional(("a",), max_order, {("a", "a"): 1})
 
 
-def _points(index, n):
-    # the block with this table index, decoded here: index + 1 is its
-    # bitmask over [n], point i the bit i - 1
-    return [i for i in range(1, n + 1) if (index + 1) >> (i - 1) & 1]
+def _points(mask, n):
+    # the block with this bitmask over [n], decoded here: point i is the
+    # bit i - 1
+    return [i for i in range(1, n + 1) if mask >> (i - 1) & 1]
 
 
 def _table_rows(n):
     # every row of the order-n table read back from the grouped columns, as
-    # (partition, shape, forest index, row of block indices); NCPartition
+    # (partition, shape, forest index, row of block bitmasks); NCPartition
     # checks that the decoded blocks are a non-crossing partition
-    for shape, columns, runs, sizes in cumulants._grouped(n)[2]:
+    _, _, blocks, shapes = cumulants._grouped(n)
+    assert sorted(blocks) == list(range(1, 2**n))
+    for shape, columns, runs, sizes in shapes:
         owners = [i for i, size in zip(runs, sizes) for _ in range(size)]
         for row, i in zip(zip(*columns), owners, strict=True):
+            row = [blocks[b] for b in row]
             yield partitions.NCPartition([_points(b, n) for b in row]), shape, i, row
 
 
@@ -345,8 +348,8 @@ class TestExpansionTerms:
     def test_rows_match_table_rows(self, direction):
         # the conversions and expansion_terms share the grouped table, so
         # its grouping is checked here against rows read straight from the
-        # composed runs of _nc_terms and _COEFF: a reducible row enters no
-        # sum between cumulants
+        # composed runs of _nc_terms (block bitmasks) and _COEFF: a
+        # reducible row enters no sum between cumulants
         coeff = cumulants._COEFF[direction]
         for n in range(1, 8):
             expected = Counter()
@@ -526,7 +529,7 @@ class TestCachedTerms:
         # a direction keeping every row reads _grouped's own columns, and
         # directions keeping the same rows read one copy of them
         n = 7
-        grouped = cumulants._grouped(n)[2]
+        grouped = cumulants._grouped(n)[3]
 
         def columns(direction):
             return [c for _, c, _ in cumulants._terms(direction, n)[1]]

@@ -221,11 +221,12 @@ class TestStructure:
         # row's key, against the ones read off each partition's parent
         # array; a key is the sorted encodings of the forest's trees, or of
         # one tree's children with the size of its root block
-        _, keys, shapes = cumulants._grouped(n)
+        _, keys, blocks, shapes = cumulants._grouped(n)
         for _, columns, runs, sizes in shapes:
             owners = [i for i, size in zip(runs, sizes) for _ in range(size)]
             for row, i in zip(zip(*columns), owners, strict=True):
-                p = NCPartition([[x for x in range(1, n + 1) if (b + 1) >> (x - 1) & 1] for b in row])
+                masks = [blocks[b] for b in row]
+                p = NCPartition([[x for x in range(1, n + 1) if mask >> (x - 1) & 1] for mask in masks])
                 encodings, root = keys[i]
                 text = "".join(encodings)
                 if root:
