@@ -121,7 +121,7 @@ def _nc_terms(n):
     # that meet in one shape and forest are tiled into one run.
     partitions._check_enum_n(n)
     code = _code(1 << n)
-    states = {}
+    states, omegas = {}, {}
     if n == 1:  # the one block {1}
         leaf = _Forest(1, 1, True, trees.omega(trees.RootedTree()))
         states[(1,), (), 1] = leaf, [((1, [array(code, [1])]), (1, []))]
@@ -141,10 +141,11 @@ def _nc_terms(n):
                 children = tuple(sorted(kids + _trees(key2)))
                 new = tuple(sorted(shape + shape2)), children, root + 1
                 if new not in states:
+                    if children not in omegas:  # one tree over these children
+                        omegas[children] = trees.omega(trees.parse_tree(f"[{''.join(children)}]"))
                     nb = forest.nb + forest2.nb
                     ff = nb * forest.ff // forest.nb * forest2.ff
-                    om = trees.omega(trees.parse_tree("[" + "".join(children) + "]"))
-                    states[new] = _Forest(nb, ff, not children, om), []
+                    states[new] = _Forest(nb, ff, not children, omegas[children]), []
                 states[new][1].append((left, (b, columns2)))
     return tuple(
         (shape, (kids, root), forest, _tiled(code, len(shape), pairs))
@@ -168,31 +169,30 @@ def _runs(k, code, shift=0, roots=False):
     masks = [mask << shift for mask in blocks]
     out = []
     for shape, columns, runs, sizes in shapes:
-        columns = [array(code, map(masks.__getitem__, c)) for c in columns]
         for i, size, end in zip(runs, sizes, accumulate(sizes)):
             if not roots or keys[i][1]:
-                out.append((shape, keys[i], forests[i], size, [c[end - size : end] for c in columns]))
+                run = [array(code, map(masks.__getitem__, c[end - size : end])) for c in columns]
+                out.append((shape, keys[i], forests[i], size, run))
     return out
 
 
 def _tiled(code, width, pairs):
     # the `width` columns of one run from its (rows, columns) pairs: every
-    # left row beside every right one, each left block b times over and the
-    # right columns a times whole
+    # left row beside every right one.  The side with fewer rows repeats
+    # whole, and each block of the other repeats over a stride of as many.
     total = sum(a * b for (a, _), (b, _) in pairs)
     out = [array(code, [0]) * total for _ in range(width)]
     r = 0
     for (a, left), (b, right) in pairs:
-        end = r + a * b
-        for col, c in zip(out, left):
-            if b <= a:
-                for t in range(b):
-                    col[r + t : end : b] = c
-            else:
-                for i, v in zip(range(r, end, b), c):
-                    col[i : i + b] = array(code, [v]) * b
-        for col, c in zip(out[len(left) :], right):
-            col[r:end] = c * a
+        end, step = r + a * b, min(a, b)
+        sides = (out, left, b, a == step), (out[len(left) :], right, a, a != step)
+        for cols, side, times, whole in sides:
+            for col, c in zip(cols, side):
+                if whole:
+                    col[r:end] = c * times
+                else:
+                    for t in range(step):
+                        col[r + t : end : step] = c
         r = end
     return out
 

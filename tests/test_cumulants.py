@@ -405,7 +405,8 @@ class TestCachedTerms:
                 seen[p] += 1
                 assert shape == tuple(sorted(map(len, p.blocks))), p.text()
                 assert forests[i].nb == p.num_blocks, p.text()
-                assert forests[i].ff == trees.forest_factorial(partitions.nesting_forest(p)), p.text()
+                ff = trees.forest_factorial(partitions.nesting_forest(p))
+                assert forests[i].ff == ff, p.text()
             assert seen == Counter(partitions.enumerate_nc(n)), n
             assert set(seen.values()) == {1}, n
 
@@ -446,7 +447,8 @@ class TestCachedTerms:
                     assert _points(row[0], n) == list(p.blocks[0]), p.text()
                 nesting = partitions.nesting_forest(p)
                 assert forest_of.setdefault(i, (nesting, root)) == (nesting, root), p.text()
-            assert len(set(forest_of.values())) == len(forest_of) == len(cumulants._grouped(n)[0]), n
+            assert len(set(forest_of.values())) == len(forest_of), n
+            assert len(forest_of) == len(cumulants._grouped(n)[0]), n
 
     @staticmethod
     def _fresh_caches(monkeypatch):

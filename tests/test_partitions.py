@@ -226,7 +226,7 @@ class TestStructure:
             owners = [i for i, size in zip(runs, sizes) for _ in range(size)]
             for row, i in zip(zip(*columns), owners, strict=True):
                 masks = [blocks[b] for b in row]
-                p = NCPartition([[x for x in range(1, n + 1) if mask >> (x - 1) & 1] for mask in masks])
+                p = NCPartition([[x for x in range(1, n + 1) if m >> (x - 1) & 1] for m in masks])
                 encodings, root = keys[i]
                 text = "".join(encodings)
                 if root:
