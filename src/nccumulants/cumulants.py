@@ -43,9 +43,10 @@ pure.  They keep, for every order n that a conversion or
 inputs; ``_columns(n, kept)``, the rows that the directions keeping the
 same forests keep, shared by those directions (a direction keeping every
 row shares ``_grouped``'s columns); and ``_terms(direction, n)``, one tuple
-of integer numerators per shape and direction.  ``trees.omega`` keeps one
-omega per distinct nesting tree (112 up to order 11), read across orders.
-No partition is enumerated here, so ``partitions._nc_blocks`` stays empty.
+of integer numerators per shape and direction; ``expansion_terms`` adds
+``_listed(n)``, the rows as partitions in ``enumerate_nc``'s order.
+``trees.omega`` keeps one omega per nesting tree (112 up to order 11).  No
+partition is enumerated, so ``partitions._nc_blocks`` stays empty.
 """
 
 from array import array
@@ -232,15 +233,14 @@ def _code(count):
 @lru_cache(maxsize=None)
 def _grouped(n):
     # the order-n rows grouped once for every direction, as (forests, keys,
-    # blocks, shapes): forests lists each distinct forest of the runs once,
-    # as its _Forest record, keys its key (see _nc_terms), and blocks the
-    # bitmask of every non-empty subset of [n].  A shape holds its rows as
-    # (shape, columns, runs, sizes): the j-th column is an array of the
-    # index into blocks of each row's j-th block, and the rows come in runs
-    # of one forest each, runs[r] the forest's index and sizes[r] its row
-    # count.  Blocks are indexed in the order the columns first read them,
-    # so the products read the gathered values nearly in order (5% faster
-    # at order 11 than by bitmask).
+    # blocks, shapes): forests lists each distinct forest of the runs once, as
+    # its _Forest record, keys its key (see _nc_terms), and blocks the bitmask
+    # of every non-empty subset of [n].  A shape holds its rows as (shape,
+    # columns, runs, sizes): the j-th column is an array of the index into
+    # blocks of each row's j-th block, and the rows come in runs of one forest
+    # each, runs[r] the forest's index and sizes[r] its row count.  Blocks are
+    # indexed in the order the columns first read them, so the products read the
+    # gathered values nearly in order (5% faster at order 11 than by bitmask).
     index, groups = {}, {}
     for shape, key, forest, columns in _nc_terms(n):
         i = index.setdefault(key, (len(index), forest))[0]
@@ -289,9 +289,7 @@ def _columns(n, kept):
             columns = [list(chain.from_iterable(map(c.__getitem__, spans))) for c in columns]
             shapes.append((shape, columns, array(_code(len(kept)), runs), array("L", sizes)))
     used = sorted(set().union(*chain.from_iterable(c for _, c, _, _ in shapes)))
-    rank = [0] * len(blocks)
-    for new, old in enumerate(used):
-        rank[old] = new
+    rank = dict(zip(used, range(len(used))))
     code = _code(len(used))
     shapes = tuple(
         (shape, tuple(array(code, map(rank.__getitem__, c)) for c in columns), runs, sizes)
@@ -409,9 +407,8 @@ def _partition_sum(src, direction, invert=False):
     # and no Python code runs per row.  A shape reading a length whose
     # values are all 0 adds nothing and is skipped.
     #
-    # Every length up to max_order reads a table built from the enumeration,
-    # so the enumeration bound is checked for the longest length before any
-    # table is built.
+    # The enumeration bound still caps the orders whose tables are built
+    # (composed, not enumerated); the longest length is checked first.
     partitions._check_enum_n(src.max_order)
     q = len(src.alphabet)
     out_rows, out_dens = [[0]], [1]
@@ -554,23 +551,26 @@ def expansion_terms(from_kind, to_kind, n):
         )
     # checked first: a table cached before the bound was lowered is refused
     partitions._check_enum_n(n)
+    cs = [_coefficient((from_kind, to_kind), forest) for forest in _grouped(n)[0]]
+    return [(p, cs[i]) for p, i in zip(*_listed(n)) if cs[i] is not None]
+
+
+@lru_cache(maxsize=None)
+def _listed(n):
+    # the order-n rows in enumerate_nc's order, for every direction, as
+    # (partitions, forest indices).  With the blocks ranked by least point,
+    # then size, then points, a row's sorted ranks list its blocks in order,
+    # and sorted rows follow enumerate_nc: first block by size and points,
+    # then the gaps.
     forests, _, blocks, shapes = _grouped(n)
-    cs = [_coefficient((from_kind, to_kind), forest) for forest in forests]
-    # rank the blocks by least point, then size, then points: a row's
-    # ranks, sorted, list its blocks in canonical order, and the rows
-    # sorted by them come in enumerate_nc's order, which fixes the first
-    # block by size and points and then partitions each gap in turn
     blocks = list(map(_block, blocks))
-    order = sorted(range(len(blocks)), key=lambda i: (blocks[i][0], len(blocks[i]), blocks[i]))
-    rank = sorted(range(len(order)), key=order.__getitem__)
+    order = sorted(blocks, key=lambda b: (b[0], len(b), b))
+    rank = list(map({b: r for r, b in enumerate(order)}.__getitem__, blocks))
     rows = []
     for _, columns, runs, sizes in shapes:
-        columns = [list(map(rank.__getitem__, c)) for c in columns]
-        for i, size, end in zip(runs, sizes, accumulate(sizes)):
-            if cs[i] is not None:
-                ranks = map(sorted, zip(*(c[end - size : end] for c in columns)))
-                rows += zip(map(tuple, ranks), repeat(cs[i]))
-    rows.sort()
+        columns = [map(rank.__getitem__, c) for c in columns]
+        rows += zip(map(sorted, zip(*columns)), chain.from_iterable(map(repeat, runs, sizes)))
+    ranks, ids = zip(*sorted(rows))
     wrap = partitions.NCPartition._wrap
-    blocks = list(map(blocks.__getitem__, order))
-    return [(wrap(tuple(map(blocks.__getitem__, ranks))), c) for ranks, c in rows]
+    parts = tuple(wrap(tuple(map(order.__getitem__, r))) for r in ranks)
+    return parts, array(_code(len(forests)), ids)

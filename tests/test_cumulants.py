@@ -373,6 +373,15 @@ class TestExpansionTerms:
         ]
         assert rows == golden.read_text(encoding="utf-8").splitlines()
 
+    def test_rows_follow_enumeration_order(self):
+        # the rows come in enumerate_nc's order, the order --show-order
+        # prints: all of them into moments, the irreducible ones otherwise
+        for n in range(1, 10):
+            every = partitions.enumerate_nc(n)
+            for x, y in sorted(cumulants._COEFF):
+                rows = [p for p, _ in expansion_terms(x, y, n)]
+                assert rows == [p for p in every if y == "moment" or p.is_irreducible()], (x, y, n)
+
     def test_moment_expansion(self):
         rows = {p.text(): c for p, c in expansion_terms("monotone", "moment", 3)}
         assert rows["{{1,3},{2}}"] == Fraction(1, 2)
@@ -458,6 +467,7 @@ class TestCachedTerms:
             (cumulants, "_grouped"),
             (cumulants, "_columns"),
             (cumulants, "_terms"),
+            (cumulants, "_listed"),
             (trees, "omega"),
         ):
             original = getattr(owner, name).__wrapped__
