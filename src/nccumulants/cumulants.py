@@ -1,13 +1,19 @@
 """Conversions among moments and the free, Boolean and monotone cumulants.
 
-Every conversion is an exact partition sum.  The six cumulant-to-cumulant
-directions run over irreducible non-crossing partitions with a coefficient
-depending only on the block count, the nesting-tree factorial, and the
-omega weight of the nesting tree; moments are partition sums over all
-non-crossing partitions (interval partitions only, in the Boolean case),
-and the moment-to-cumulant directions invert those sums by recursion on
-word length, which is always solvable because the one-block term is the
-only one touching the full word.
+The six cumulant-to-cumulant directions are the closed sums over
+irreducible non-crossing partitions, with a coefficient depending only on
+the block count, the nesting-tree factorial, and the omega weight of the
+nesting tree.  Every direction touching moments goes through Boolean
+cumulants: X -> moment is the closed sum X -> Boolean followed by the
+interval fill, and moment -> X is the inverse fill followed by the closed
+sum Boolean -> X (for X Boolean, the fill alone).  The interval fill is the
+first-interval relation phi(w) = sum over w = u v, u non-empty, of
+beta(u) phi(v), with phi of the empty word 1, solved one length at a time
+either way (``_interval_fill``); it reads no partition table, so the
+enumeration bound does not cap it.  The closed sums into moments over all
+non-crossing partitions (interval partitions only, from Boolean) remain, as
+``_partition_sum(c, (kind, "moment"))`` and in ``expansion_terms``, the
+independent check of those routes, not a route of their own.
 
 The coefficient inputs are functions of the nesting forest alone: the
 block count, the forest factorial, the interval flag (every tree a single
@@ -19,22 +25,12 @@ shape, the forest and its inputs once per pair of runs, omega once per new
 tree.  Each direction evaluates its coefficient once per forest, from one
 map of those inputs; one loop sums the block products.
 
-That loop runs on integers.  Each direction's order-n coefficients are
-numerators over one common denominator; the values are read from the
-input's own integer rows (see ``prelie.Functional``), so a word's sum is an
-integer over a denominator fixed per length, and each output row is
-reduced once.
-
-A shape's rows are stored as columns: the j-th column lists, for every
-row, the index of its j-th block among the 2^n - 1 non-empty subsets of
-[n] (each a block of some partition).  Each length first gathers the value
-of every block at every word, one list per block, from the block's subword
-codes; a block's codes are its prefix's codes times the alphabet size plus
-the letter at its last point, so no subword is built.  Each word then
-multiplies whole columns of its values, numerators included, in nested
-maps: one call per shape and word, and no Python code per row.  A shape
-that reads a length whose values are all zero is skipped.  The words are
-read in chunks that bound the gathered values (``_GATHER``).
+That loop runs on integers (``_partition_sum``): each direction's order-n
+coefficients are numerators over one common denominator, and the values
+are the input's own integer rows (see ``prelie.Functional``).  A shape's
+rows are stored as columns of block indices; each length gathers every
+block's value at every word once, and each word multiplies whole columns
+in nested maps, one call per shape and word and no Python code per row.
 
 The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
 pure.  They keep, for every order n that a conversion or
@@ -58,7 +54,7 @@ from math import lcm, prod
 from operator import add, getitem, iadd, mul
 
 from . import partitions, trees
-from .prelie import Functional, _common, _reduced
+from .prelie import Functional, _common, _product_at, _reduced
 
 KINDS = ("moment", "free", "boolean", "monotone")
 CUMULANT_KINDS = ("free", "boolean", "monotone")
@@ -386,20 +382,14 @@ def _block_product(vals, columns, nums):
     return sum(terms)
 
 
-def _partition_sum(src, direction, invert=False):
+def _partition_sum(src, direction):
     # out(w) = sum over the order-|w| rows of coefficient * prod src(block).
-    # With invert, solve src = that sum of out for out instead: the one-block
-    # row has coefficient 1 in every direction into moments and is the only
-    # row reading the full word, so out(w) is src(w) minus the other rows,
-    # which read only shorter words, solved already.  out(w) reads as 0 while
-    # they are summed, so the one-block row drops out with that zero length.
     #
-    # The sum runs on integers.  The values read at length k (the input's
-    # rows, or the outputs solved so far) are numerators over dens[k]; a row
-    # of shape (k1, k2, ...) is then a numerator over den * dens[k1] *
-    # dens[k2] * ..., so each shape's integer sum is brought to the lcm
-    # `big` of those products by one factor, and each length's output row
-    # is reduced once.
+    # The sum runs on integers.  The input's values at length k are
+    # numerators over dens[k]; a row of shape (k1, k2, ...) is then a
+    # numerator over den * dens[k1] * dens[k2] * ..., so each shape's integer
+    # sum is brought to the lcm `big` of those products by one factor, and
+    # each length's output row is reduced once.
     #
     # Each length gathers the value of every block at every word once
     # (_gathered); each word then multiplies whole columns of its block
@@ -411,17 +401,13 @@ def _partition_sum(src, direction, invert=False):
     # (composed, not enumerated); the longest length is checked first.
     partitions._check_enum_n(src.max_order)
     q = len(src.alphabet)
-    out_rows, out_dens = [[0]], [1]
-    rows, dens = (out_rows, out_dens) if invert else (src._rows, src._dens)
+    rows, dens = src._rows, src._dens
+    zero = [not any(row) for row in rows]
+    out = [([0], 1)]
     for m in range(1, src.max_order + 1):
-        if invert:  # the outputs of length m read as 0 until solved
-            out_rows.append([0] * q**m)
-            out_dens.append(1)
         den, shapes, plan = _terms(direction, m)
-        zero = [not any(row) for row in rows[: m + 1]]
         shapes = [s for s in shapes if not any(map(zero.__getitem__, s[0]))]
         big, lifts = _common([prod(dens[k] for k in shape) for shape, _, _ in shapes])
-        out_den = den * big
         if shapes:
             reads = set().union(*(shape for shape, _, _ in shapes))
             shapes = [(columns, nums, lift) for (_, columns, nums), lift in zip(shapes, lifts)]
@@ -432,14 +418,31 @@ def _partition_sum(src, direction, invert=False):
             ]
         else:
             sums = [0] * q**m
-        if invert:  # out(w) = src(w) - total / out_den
-            src_den = src._dens[m]
-            sums = [v * out_den - t * src_den for v, t in zip(src._rows[m], sums)]
-            out_den *= src_den
-        row, out_den = _reduced(sums, out_den)
-        # in an inversion this replaces the zero row that length m read
-        out_rows[m:], out_dens[m:] = [row], [out_den]
-    return src._with_rows(zip(out_rows, out_dens))
+        out.append(_reduced(sums, den * big))
+    return src._with_rows(out)
+
+
+def _interval_fill(src, invert=False):
+    # Moments from Boolean cumulants by the first interval, or with invert
+    # the Boolean cumulants of moments, one length m at a time:
+    #     phi_m = beta_m + sum_{k<m} beta_k (x) phi_{m-k},
+    #     beta_m = phi_m - sum_{k<m} beta_k (x) phi_{m-k},
+    # with (beta_k (x) phi_{m-k})[p q^(m-k) + s] = beta_k[p] phi_{m-k}[s]:
+    # prelie._product_at at cut position 0, beta the inner factor, the sign
+    # in its factors.  The output's shorter lengths are final already; each
+    # length is one integer row over its terms' lcm, reduced once.
+    q = len(src.alphabet)
+    rows, dens = [[0]], [1]
+    own, built = (src._rows, src._dens), (rows, dens)
+    (beta, bden), (phi, pden) = (built, own) if invert else (own, built)
+    for m in range(1, src.max_order + 1):
+        terms = [bden[k] * pden[m - k] for k in range(1, m)]
+        den, (lift, *factors) = _common([src._dens[m], *terms])
+        row = _product_at(beta, phi, m, q, [-f if invert else f for f in factors], lambda k: (0,))
+        row, den = _reduced(list(map(add, row, map(lift.__mul__, src._rows[m]))), den)
+        rows.append(row)
+        dens.append(den)
+    return src._with_rows(zip(rows, dens))
 
 
 def boolean_from_free(kappa):
@@ -493,32 +496,33 @@ def _require_cumulant_kind(kind):
 
 
 def moments_from(kind, c):
-    """Moments from a cumulant family.
-
-    Free: sum over all non-crossing partitions of the block products.
-    Boolean: the same sum restricted to interval partitions.
-    Monotone: the full sum weighted by 1 over the nesting-forest factorial.
-    """
+    """Moments from a cumulant family: the Boolean cumulants by the closed
+    sum over irreducible non-crossing partitions (none from Boolean ones),
+    then the moments by the first interval, phi(w) = sum over w = u v, u
+    non-empty, of beta(u) phi(v), with phi of the empty word 1."""
     _require_cumulant_kind(kind)
-    return _partition_sum(c, (kind, "moment"))
+    beta = c if kind == "boolean" else _partition_sum(c, (kind, "boolean"))
+    return _interval_fill(beta)
 
 
 def cumulants_from_moments(kind, phi):
     """The unique cumulant family of the given kind whose moments are ``phi``.
 
-    Solved by recursion on word length: the one-block term is the only one
-    involving the full word, and every other term only touches strictly
-    shorter subwords already determined.
+    The first interval of ``moments_from`` is solved for the Boolean
+    cumulants one length at a time, as only its one-interval term reads the
+    full word; the closed irreducible sum then gives the other kinds.
     """
     _require_cumulant_kind(kind)
-    return _partition_sum(phi, (kind, "moment"), invert=True)
+    beta = _interval_fill(phi, invert=True)
+    return beta if kind == "boolean" else _partition_sum(beta, ("boolean", kind))
 
 
 def convert(family, to_kind):
     """Convert a tagged family to any of the four kinds.
 
-    Identity when the kinds coincide; otherwise the closed partition sum of
-    the direction, or its inversion for moment-to-cumulant directions.
+    Identity when the kinds coincide; otherwise the closed irreducible
+    partition sum between cumulant kinds, and ``moments_from`` or
+    ``cumulants_from_moments`` for a direction touching moments.
     """
     if to_kind not in KINDS:
         raise ValueError(f"unknown kind {to_kind!r}; expected one of {KINDS}")
@@ -526,6 +530,8 @@ def convert(family, to_kind):
         return family
     if family.kind == "moment":
         data = cumulants_from_moments(to_kind, family.data)
+    elif to_kind == "moment":
+        data = moments_from(family.kind, family.data)
     else:
         data = _partition_sum(family.data, (family.kind, to_kind))
     return CumulantFamily(to_kind, data)

@@ -340,8 +340,18 @@ _ROUNDTRIP_PAIRS = (
 )
 
 
+def _leg(data, x, y):
+    # data converted from kind x to kind y, a leg into moments by the closed
+    # sum over NC(n): it shares no code with the route through Boolean
+    # cumulants, so a round trip through moments is no route and its inverse
+    if y == "moment":
+        return cumulants._partition_sum(data, (x, "moment"))
+    return cumulants.convert(cumulants.CumulantFamily(x, data), y).data
+
+
 def suite_roundtrips(seed=42, max_order=6):
-    """Mutual inversion of every conversion pair on random functionals."""
+    """Mutual inversion of every conversion pair on random functionals,
+    each leg into moments by the closed sum over NC(n)."""
     n = min(max_order, 7)
     alphabet = ("a", "b")
     inputs = {
@@ -351,10 +361,9 @@ def suite_roundtrips(seed=42, max_order=6):
     reports = []
     for pair in _ROUNDTRIP_PAIRS:
         for x, y in (pair, pair[::-1]):
-            family = cumulants.CumulantFamily(x, inputs[x])
-            back = cumulants.convert(cumulants.convert(family, y), x)
+            back = _leg(_leg(inputs[x], x, y), y, x)
             name = "-".join("moments" if k == "moment" else k for k in (x, y, x))
-            reports.append(_compare_functionals(name, back.data, inputs[x]))
+            reports.append(_compare_functionals(name, back, inputs[x]))
     return reports
 
 

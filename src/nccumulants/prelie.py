@@ -272,13 +272,15 @@ def _common(dens):
     return den, [den // d for d in dens]
 
 
-def _product_at(left, right, m, q, factors):
-    # (alpha |> beta)(w) = - sum over w = w1 w2 w3, all parts non-empty, of
-    # alpha(w2) beta(w1 w3), for every word w of length m at once, on integer
-    # numerators.  left[k] and right[k] are the rows of length k, indexed by
-    # word code; the sum at inner length k is lifted by factors[k-1] to the
-    # common denominator, and inner lengths past the end of `factors` are not
-    # read.  Returns the row of length m.
+def _product_at(left, right, m, q, factors, positions=None):
+    # the sum over w = w1 w2 w3 of alpha(w2) beta(w1 w3), for every word w
+    # of length m at once, on integer numerators, with |w1| in positions(k)
+    # at inner length k = |w2|: by default 1..m-k-1, the cuts of the pre-Lie
+    # product alpha |> beta, whose outer parts are non-empty.  left[k] and
+    # right[k] are the rows of length k, indexed by word code; the sum at
+    # inner length k is multiplied by factors[k-1], which lifts it to the
+    # common denominator and carries its sign, and inner lengths past the end
+    # of `factors` are not read.  Returns the row of length m.
     #
     # A cut with prefix p of length i, inner x of length k and suffix s of
     # length a = m - i - k has code (p q^k + x) q^a + s, and its outer part
@@ -288,12 +290,12 @@ def _product_at(left, right, m, q, factors):
     # of the two outer parts and every step adds a whole slice.
     out = [0] * q ** m
     for k, factor in enumerate(factors, 1):
-        # the lift and the sign folded into the left row, zeros dropped
-        inner = [(x, -factor * v) for x, v in enumerate(left[k]) if v]
+        # the factor folded into the left row, zeros dropped
+        inner = [(x, factor * v) for x, v in enumerate(left[k]) if v]
         if not inner:
             continue
         outer = right[m - k]
-        for i in range(1, m - k):
+        for i in range(1, m - k) if positions is None else positions(k):
             qa = q ** (m - i - k)
             step = q ** k * qa
             if qa >= q ** i:
@@ -364,7 +366,11 @@ def _series(left, kappa, coeff):
         out_den = lcm(*(coeffs[n].denominator * den for n, den, _ in steps if coeffs[n]))
         total = None
         for n, den, factors in steps:
-            power = powers[0][m] if n == 0 else _product_at(lrows, powers[n - 1], m, q, factors)
+            # the product's minus sign rides on its factors
+            power = (
+                powers[0][m] if n == 0
+                else _product_at(lrows, powers[n - 1], m, q, [-f for f in factors])
+            )
             if n and not top:
                 dens[n][m] = den
                 powers[n][m] = power

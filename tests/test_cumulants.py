@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -53,6 +54,30 @@ def _table_rows(n):
         for row, i in zip(zip(*columns), owners, strict=True):
             row = [blocks[b] for b in row]
             yield partitions.NCPartition([_points(b, n) for b in row]), shape, i, row
+
+
+# a conversion whose legs into moments are the closed sum over NC(n)
+_leg = oracle._leg
+
+
+def _interval_sum(src, invert=False):
+    # moments from Boolean cumulants by the plain sum over interval
+    # partitions of the block products, or with invert the Boolean
+    # cumulants of moments by the signed sum over interval partitions pi of
+    # (-1)^(|pi| - 1) phi_pi(w), word by word on Fractions
+    def cuts(m):  # the interval partitions of [m] by their block ends
+        return [(0, *c, m) for k in range(m) for c in combinations(range(1, m), k)]
+
+    out = {}
+    for w in src.words():
+        total = Fraction(0)
+        for ends in cuts(len(w)):
+            term = Fraction((-1) ** (len(ends) - 2) if invert else 1)
+            for i, j in zip(ends, ends[1:]):
+                term *= src.value(w[i:j])
+            total += term
+        out[w] = total
+    return out
 
 
 def _plain_sum(src, from_kind, to_kind):
@@ -115,11 +140,12 @@ class TestMoments:
                 assert phi.value((letter,)) == c.value((letter,))
 
     def test_inversion_roundtrip(self):
+        # every leg into moments is the closed sum (see _leg)
         c = random_functional(AB, 5, 202)
         phi = random_functional(AB, 5, 203)
         for kind in cumulants.CUMULANT_KINDS:
-            assert cumulants_from_moments(kind, moments_from(kind, c)) == c
-            assert moments_from(kind, cumulants_from_moments(kind, phi)) == phi
+            assert cumulants_from_moments(kind, _leg(c, kind, "moment")) == c
+            assert _leg(cumulants_from_moments(kind, phi), kind, "moment") == phi
 
     def test_catalan_inverse(self):
         values = {}
@@ -129,6 +155,31 @@ class TestMoments:
         phi = Functional(("a",), 10, values)
         kappa = cumulants_from_moments("free", phi)
         assert kappa == _pair_cumulant(10)
+
+    def test_boolean_past_the_enumeration_bound(self, monkeypatch, tmp_path):
+        # moments and Boolean cumulants convert by the first interval, which
+        # reads no partition table, so the enumeration bound does not cap
+        # them: the semicircle's Catalan moments at {a} order 30 have the
+        # Boolean cumulants beta(a^2k) = Catalan(k - 1), 0 at odd orders
+        def refused(*args):
+            raise AssertionError("a partition table was read")
+
+        monkeypatch.setattr(cumulants, "_grouped", refused)
+        monkeypatch.setattr(partitions, "_check_enum_n", refused)
+        n = 30
+        catalan = [comb(2 * k, k) // (k + 1) for k in range(n // 2 + 1)]
+        phi = Functional(("a",), n, {("a",) * (2 * k): catalan[k] for k in range(1, n // 2 + 1)})
+        expected = Functional(
+            ("a",), n, {("a",) * (2 * k): catalan[k - 1] for k in range(1, n // 2 + 1)}
+        )
+        beta = convert(CumulantFamily("moment", phi), "boolean")
+        assert beta.data == expected
+        assert convert(beta, "moment").data == phi
+        src, dst = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(CumulantFamily("moment", phi).to_json()))
+        argv = ["convert", "--from", "moment", "--to", "boolean", "--input", str(src)]
+        assert cli.main(argv + ["--output", str(dst)]) == 0
+        assert CumulantFamily.from_json(json.loads(dst.read_text())) == beta
 
 
 class TestDirectConversions:
@@ -260,10 +311,13 @@ class TestConsistency:
         )
 
     def test_moment_consistency(self):
+        # the moments of one law from each of its cumulant families: the
+        # production route from free cumulants, the closed sums over NC(n)
+        # from the other two
         kappa = random_functional(AB, 6, 234)
         phi_free = moments_from("free", kappa)
-        phi_mono = moments_from("monotone", monotone_from_free(kappa))
-        phi_bool = moments_from("boolean", boolean_from_free(kappa))
+        phi_mono = _leg(monotone_from_free(kappa), "monotone", "moment")
+        phi_bool = _leg(boolean_from_free(kappa), "boolean", "moment")
         assert phi_free == phi_mono == phi_bool
 
     def test_conversions_fix_lengths_one_and_two(self):
@@ -293,11 +347,8 @@ class TestConvertDispatcher:
             for dst_kind in cumulants.KINDS:
                 if dst_kind == src_kind:
                     continue
-                out = convert(fam, dst_kind)
-                assert out.kind == dst_kind
-                back = convert(out, src_kind)
-                assert back.kind == src_kind
-                assert back.data == data
+                assert convert(fam, dst_kind).kind == dst_kind
+                assert _leg(_leg(data, src_kind, dst_kind), dst_kind, src_kind) == data
 
     def test_unknown_kinds(self):
         with pytest.raises(ValueError):
@@ -621,15 +672,15 @@ _KERNEL_INPUTS = ("prime-denominators", "zero-lengths", "integers", "semicircle"
 
 
 @lru_cache(maxsize=None)
-def _kernel_inputs(n=6):
+def _kernel_inputs(n=6, alphabet=AB):
     # inputs that stress the integer kernel's common denominators
-    words = list(all_words(AB, n))
+    words = list(all_words(alphabet, n))
     signs = [1, -2, 3, -1, 2, -3]
-    dense = random_functional(AB, n, 260)
+    dense = random_functional(alphabet, n, 260)
     return {
         # every word its own prime denominator: the lcm per length is large
         "prime-denominators": Functional(
-            AB,
+            alphabet,
             n,
             {
                 w: Fraction(signs[i % 6], p)
@@ -638,11 +689,11 @@ def _kernel_inputs(n=6):
         ),
         # whole lengths that are zero: their common denominator is 1
         "zero-lengths": Functional(
-            AB, n, {w: dense.value(w) for w in dense.words() if len(w) not in (1, 4)}
+            alphabet, n, {w: dense.value(w) for w in dense.words() if len(w) not in (1, 4)}
         ),
-        "integers": Functional(AB, n, {w: (i * 7) % 9 - 4 for i, w in enumerate(words)}),
+        "integers": Functional(alphabet, n, {w: (i * 7) % 9 - 4 for i, w in enumerate(words)}),
         # the free semicircular system: sparse, mostly zero products
-        "semicircle": Functional(AB, n, {("a", "a"): 1, ("b", "b"): 1}),
+        "semicircle": Functional(alphabet, n, {(x, x): 1 for x in alphabet}),
     }
 
 
@@ -662,8 +713,20 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("name", _KERNEL_INPUTS)
     @pytest.mark.parametrize("kind", cumulants.CUMULANT_KINDS)
     def test_inversions_round_trip(self, kind, name):
+        # back to moments by the closed sum (see _leg)
         phi = _kernel_inputs()[name]
-        assert moments_from(kind, cumulants_from_moments(kind, phi)) == phi
+        assert _leg(cumulants_from_moments(kind, phi), kind, "moment") == phi
+
+    @pytest.mark.parametrize("name", _KERNEL_INPUTS)
+    @pytest.mark.parametrize("alphabet, n", [(AB, 6), (("a",), 10)], ids=["ab6", "a10"])
+    @pytest.mark.parametrize("invert", [False, True], ids=["boolean-moment", "moment-boolean"])
+    def test_interval_fill_matches_interval_sums(self, invert, alphabet, n, name):
+        # the first-interval recursion against the closed sums over interval
+        # partitions, written here on plain Fractions from value() alone
+        src = _kernel_inputs(n, alphabet)[name]
+        kinds = ("moment", "boolean") if invert else ("boolean", "moment")
+        out = convert(CumulantFamily(kinds[0], src), kinds[1]).data
+        assert {w: out.value(w) for w in out.words()} == _interval_sum(src, invert)
 
     def test_block_products_are_integers(self, monkeypatch):
         # every value and numerator the block products read is an int
@@ -696,27 +759,31 @@ class TestIntegerKernel:
         return calls
 
     @staticmethod
-    def _expected_products(direction, read):
-        # one product per word and per shape of the direction's table whose
-        # lengths all read a nonzero row, where read[m] holds the rows that
-        # length m reads; and the row products of the old per-row kernel
-        table = direction[::-1] if direction[0] == "moment" else direction
-        calls = rows = 0
-        for m in range(1, len(read)):
-            zero = [not any(row) for row in read[m]]
-            for shape, _, nums in cumulants._terms(table, m)[1]:
+    def _expected_products(direction, rows):
+        # one product per word and per shape of the direction's table that
+        # reads no all-zero length of `rows`, the input's rows; and the row
+        # products of the old per-row kernel
+        zero = [not any(row) for row in rows]
+        calls = products = 0
+        for m in range(1, len(rows)):
+            for shape, _, nums in cumulants._terms(direction, m)[1]:
                 if not any(zero[k] for k in shape):
                     calls += 2**m
-                rows += len(nums) * 2**m
-        return calls, rows
+                products += len(nums) * 2**m
+        return calls, products
 
     @staticmethod
-    def _reads(src, out, invert):
-        # the rows each length reads: the input's, or in an inversion the
-        # outputs solved so far and a zero row at the length being solved
-        if not invert:
-            return [src._rows] * (src.max_order + 1)
-        return [out._rows[:m] + [[0] * 2**m] for m in range(src.max_order + 1)]
+    def _leg_products(direction, src):
+        # the products of a direction's closed sum over irreducible
+        # partitions: a direction touching moments makes only those of its
+        # leg to or from Boolean cumulants, none between moments and Boolean
+        # cumulants, whose first-interval recursion makes no block product
+        x, y = ("boolean" if kind == "moment" else kind for kind in direction)
+        if x == y:
+            return 0
+        if direction[0] == "moment":
+            src = convert(CumulantFamily("moment", src), "boolean").data
+        return TestIntegerKernel._expected_products((x, y), src._rows)[0]
 
     @pytest.mark.parametrize(
         "direction",
@@ -726,35 +793,36 @@ class TestIntegerKernel:
     def test_one_product_per_row(self, monkeypatch, direction):
         # the products of a word are not made one row at a time: each word
         # calls _block_product once for every shape of its table that reads
-        # no all-zero length, and there are fewer shapes than rows; the
-        # one-block shape of an inversion reads the length being solved,
-        # still 0
-        calls = self._counted_products(monkeypatch)
+        # no all-zero length, and there are fewer calls than rows; in a
+        # direction touching moments, fewer than the sum over NC(n) has rows
         n = 5
         src = random_functional(AB, n, 15)
-        out = convert(CumulantFamily(direction[0], src), direction[1]).data
-        reads = self._reads(src, out, direction[0] == "moment")
-        expected, rows = self._expected_products(direction, reads)
+        expected = self._leg_products(direction, src)
+        table = direction[::-1] if direction[0] == "moment" else direction
+        rows = self._expected_products(table, src._rows)[1]
+        calls = self._counted_products(monkeypatch)
+        convert(CumulantFamily(direction[0], src), direction[1])
         assert len(calls) == expected < rows
 
     @pytest.mark.parametrize("kind", cumulants.CUMULANT_KINDS)
     def test_zero_length_skipped(self, monkeypatch, kind):
-        # cumulants whose length 3 is all zero: the moments skip every shape
-        # reading length 3, and so does the inversion, which reads the
-        # cumulants solved so far; both still equal the plain sums
+        # cumulants whose lengths 1 and 3 are all zero, and so are their
+        # Boolean cumulants (every irreducible partition of [3] but the one
+        # block has a singleton): the moments skip every shape of the leg
+        # to Boolean cumulants that reads those lengths, and the inversion
+        # every shape of its leg from them; both equal the plain sums
         n = 6
         dense = random_functional(AB, n, 31)
-        kappa = Functional(AB, n, {w: dense.value(w) for w in dense.words() if len(w) != 3})
+        kappa = Functional(AB, n, {w: dense.value(w) for w in dense.words() if len(w) not in (1, 3)})
         calls = self._counted_products(monkeypatch)
         phi = moments_from(kind, kappa)
-        plain = _plain_sum(kappa, kind, "moment")
-        assert {w: phi.value(w) for w in phi.words()} == plain
-        assert len(calls) == self._expected_products((kind, "moment"), self._reads(kappa, phi, False))[0]
+        assert {w: phi.value(w) for w in phi.words()} == _plain_sum(kappa, kind, "moment")
+        assert len(calls) == self._leg_products((kind, "moment"), kappa)
+        beta = convert(CumulantFamily("moment", phi), "boolean").data
+        assert not any(beta._rows[1]) and not any(beta._rows[3])
         calls.clear()
         assert cumulants_from_moments(kind, phi) == kappa
-        reads = self._reads(phi, kappa, True)
-        assert not any(reads[5][3])
-        assert len(calls) == self._expected_products(("moment", kind), reads)[0]
+        assert len(calls) == self._leg_products(("moment", kind), phi)
 
     @pytest.mark.parametrize("gather", [1, 90, 400])
     def test_chunked_gathers_agree(self, monkeypatch, gather):
