@@ -540,9 +540,9 @@ def convert(family, to_kind):
 def expansion_terms(from_kind, to_kind, n):
     """The order-n expansion of a conversion as (partition, coefficient) rows.
 
-    Available for the six cumulant-to-cumulant directions and for the three
-    cumulant-to-moment directions; the moment-to-cumulant inversions have no
-    closed partition sum.
+    Available for the six cumulant-to-cumulant directions and the three
+    cumulant-to-moment sums over NC(n) that check the route through Boolean
+    cumulants; moment-to-cumulant directions are recursions, with no such sum.
     """
     if from_kind == to_kind:
         raise ValueError("identity conversion has no expansion")

@@ -21,7 +21,8 @@ lengths, which are already final, so the series fills every power, and its
 own left factor in ``magnus``, one length at a time.
 
 Functionals are immutable and all operations are pure.  The module keeps
-no cache; the closed sums in ``cumulants`` read the same rows in place.
+no cache; ``cumulants`` reads the same rows in place, and fills moments from
+Boolean cumulants with this product kernel at cut position 0.
 """
 
 import re
@@ -273,14 +274,13 @@ def _common(dens):
 
 
 def _product_at(left, right, m, q, factors, positions=None):
-    # the sum over w = w1 w2 w3 of alpha(w2) beta(w1 w3), for every word w
-    # of length m at once, on integer numerators, with |w1| in positions(k)
-    # at inner length k = |w2|: by default 1..m-k-1, the cuts of the pre-Lie
-    # product alpha |> beta, whose outer parts are non-empty.  left[k] and
-    # right[k] are the rows of length k, indexed by word code; the sum at
-    # inner length k is multiplied by factors[k-1], which lifts it to the
-    # common denominator and carries its sign, and inner lengths past the end
-    # of `factors` are not read.  Returns the row of length m.
+    # the sum over w = w1 w2 w3 of alpha(w2) beta(w1 w3) for every word w of
+    # length m at once, on integer numerators, with |w1| in positions(k) at
+    # inner length k = |w2|, by default 1..m-k-1: the pre-Lie product's cuts.
+    # left[k] and right[k] are the rows of length k, indexed by word code;
+    # the sum at inner length k is multiplied by factors[k-1], its lift to
+    # the common denominator and its sign, and inner lengths past the end of
+    # `factors` are not read.  Returns the row of length m.
     #
     # A cut with prefix p of length i, inner x of length k and suffix s of
     # length a = m - i - k has code (p q^k + x) q^a + s, and its outer part

@@ -813,7 +813,8 @@ class TestIntegerKernel:
         # every shape of its leg from them; both equal the plain sums
         n = 6
         dense = random_functional(AB, n, 31)
-        kappa = Functional(AB, n, {w: dense.value(w) for w in dense.words() if len(w) not in (1, 3)})
+        values = {w: dense.value(w) for w in dense.words() if len(w) not in (1, 3)}
+        kappa = Functional(AB, n, values)
         calls = self._counted_products(monkeypatch)
         phi = moments_from(kind, kappa)
         assert {w: phi.value(w) for w in phi.words()} == _plain_sum(kappa, kind, "moment")
