@@ -342,8 +342,8 @@ _ROUNDTRIP_PAIRS = (
 
 def _leg(data, x, y):
     # data converted from kind x to kind y, a leg into moments by the closed
-    # sum over NC(n): it shares no code with the route through Boolean
-    # cumulants, so a round trip through moments is no route and its inverse
+    # sum over NC(n), which shares no code with the route through Boolean
+    # cumulants: no round trip through moments pairs a route with its inverse
     if y == "moment":
         return cumulants._partition_sum(data, (x, "moment"))
     return cumulants.convert(cumulants.CumulantFamily(x, data), y).data
