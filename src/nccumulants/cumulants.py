@@ -1,17 +1,21 @@
 """Conversions among moments and the free, Boolean and monotone cumulants.
 
-The six cumulant-to-cumulant directions are the closed sums over
-irreducible non-crossing partitions, with a coefficient depending only on
-the block count, the nesting-tree factorial, and the omega weight of the
-nesting tree.  Every direction touching moments goes through Boolean
-cumulants: X -> moment is the closed sum X -> Boolean followed by the
-interval fill, and moment -> X is the inverse fill followed by the closed
-sum Boolean -> X (for X Boolean, the fill alone).  The interval fill is the
-first-interval relation phi(w) = sum over w = u v, u non-empty, of
-beta(u) phi(v), with phi of the empty word 1, solved one length at a time
-either way (``_interval_fill``); it reads no partition table, so the
-enumeration bound does not cap it.  The closed sums into moments over all
-non-crossing partitions (interval partitions only, from Boolean) remain, as
+The six cumulant-to-cumulant directions are closed sums over irreducible
+non-crossing partitions, with a coefficient depending only on the block
+count, the nesting-tree factorial, and the omega weight of the nesting
+tree.  Free -> Boolean, free -> monotone and monotone -> free are kept as
+sums; the sign duality D(f)(c) = -f(-c) swaps free and Boolean cumulants in
+every such sum, so the other three are -f(-c) of a kept sum f
+(``_closed``), with (-1)^(blocks - 1) times its coefficients.  Every
+direction touching moments goes through Boolean cumulants: X -> moment is
+the closed sum X -> Boolean followed by the interval fill, and moment -> X
+is the inverse fill followed by the closed sum Boolean -> X (for X Boolean,
+the fill alone).  The interval fill is the first-interval relation
+phi(w) = sum over w = u v, u non-empty, of beta(u) phi(v), with phi of the
+empty word 1, solved one length at a time either way (``_interval_fill``);
+it reads no partition table, so the enumeration bound does not cap it.  The
+closed sums into moments over all non-crossing partitions (interval
+partitions only, from Boolean) remain, as
 ``_partition_sum(c, (kind, "moment"))`` and in ``expansion_terms``, the
 independent check of those routes, not a route of their own.
 
@@ -22,10 +26,10 @@ the omega of that tree.  Each length's table holds its rows in runs of one
 shape (the sorted block sizes) and one forest, composed from the shorter
 lengths' runs and never one partition at a time (``_nc_terms``): the
 shape, the forest and its inputs once per pair of runs, omega once per new
-tree.  Each direction evaluates its coefficient once per forest, from one
+tree.  Each kept sum evaluates its coefficient once per forest, from one
 map of those inputs; one loop sums the block products.
 
-That loop runs on integers (``_partition_sum``): each direction's order-n
+That loop runs on integers (``_partition_sum``): each kept sum's order-n
 coefficients are numerators over one common denominator, and the values
 are the input's own integer rows (see ``prelie.Functional``).  A shape's
 rows are stored as columns of block indices; each length gathers every
@@ -36,13 +40,12 @@ The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
 pure.  They keep, for every order n that a conversion or
 ``expansion_terms`` reached: ``_grouped(n)``, the runs of ``_nc_terms(n)``
 (not cached) as columns grouped by shape, with each forest's key and
-inputs; ``_columns(n, kept)``, the rows that the directions keeping the
-same forests keep, shared by those directions (a direction keeping every
-row shares ``_grouped``'s columns); and ``_terms(direction, n)``, one tuple
-of integer numerators per shape and direction; ``expansion_terms`` adds
-``_listed(n)``, the rows as partitions in ``enumerate_nc``'s order.
-``trees.omega`` keeps one omega per nesting tree (112 up to order 11).  No
-partition is enumerated, so ``partitions._nc_blocks`` stays empty.
+inputs; and ``_terms(direction, n)``, for each kept sum that ran, its own
+copy of the columns of the rows it keeps and one tuple of integer
+numerators per shape; ``expansion_terms`` adds ``_listed(n)``, the rows as
+partitions in ``enumerate_nc``'s order.  ``trees.omega`` keeps one omega
+per nesting tree (112 up to order 11).  No partition is enumerated, so
+``partitions._nc_blocks`` stays empty.
 """
 
 from array import array
@@ -194,30 +197,40 @@ def _tiled(code, width, pairs):
     return out
 
 
-# The coefficient of a partition in each closed sum, from its block count,
-# forest factorial, interval flag and omega.  The six cumulant-to-cumulant
-# sums run over irreducible partitions only; the sums into moments run over
-# all of them.
+# The coefficient of a partition in each kept closed sum, from its block
+# count, forest factorial, interval flag and omega.  The three
+# cumulant-to-cumulant sums run over irreducible partitions only; the sums
+# into moments run over all of them.  The other three cumulant-to-cumulant
+# sums are the sign duals of these (see _closed).
 _COEFF = {
     ("free", "boolean"): lambda nb, ff, iv, om: 1,
-    ("boolean", "free"): lambda nb, ff, iv, om: (-1) ** (nb - 1),
     ("monotone", "free"): lambda nb, ff, iv, om: Fraction((-1) ** (nb - 1), ff),
-    ("monotone", "boolean"): lambda nb, ff, iv, om: Fraction(1, ff),
     ("free", "monotone"): lambda nb, ff, iv, om: (-1) ** (nb - 1) * om,
-    ("boolean", "monotone"): lambda nb, ff, iv, om: om,
     ("free", "moment"): lambda nb, ff, iv, om: 1,
     ("boolean", "moment"): lambda nb, ff, iv, om: 1 if iv else 0,
     ("monotone", "moment"): lambda nb, ff, iv, om: Fraction(1, ff),
 }
 
 
+def _kept(direction):
+    # the kept sum of a closed direction, and whether the direction is its
+    # sign dual: the kept sum with free and Boolean swapped
+    if direction in _COEFF:
+        return direction, False
+    swap = {"free": "boolean", "boolean": "free", "monotone": "monotone"}
+    return tuple(map(swap.__getitem__, direction)), True
+
+
 def _coefficient(direction, forest):
     # the coefficient in the sum of `direction` of a row with this nesting
     # forest, or None for a reducible row of a cumulant-to-cumulant sum,
-    # which does not enter it
+    # which does not enter it.  A sign dual -f(-c) has (-1)^(nb - 1) times
+    # the kept sum's coefficient: each of the nb blocks reads -c.
     if forest.om is None and direction[1] != "moment":
         return None
-    return Fraction(_COEFF[direction](*forest))
+    kept, dual = _kept(direction)
+    c = Fraction(_COEFF[kept](*forest))
+    return (-1) ** (forest.nb - 1) * c if dual else c
 
 
 def _code(count):
@@ -264,53 +277,35 @@ def _block(mask):  # the points of the block with this bitmask, ascending
 
 
 @lru_cache(maxsize=None)
-def _columns(n, kept):
-    # the order-n rows whose forest i has kept[i] set, as (shapes, plan):
-    # each shape as in _grouped, with its kept runs only, and its columns
-    # indexing the kept rows' own blocks, which plan gathers
-    # (_gather_plan).  The directions that keep the same rows share one
-    # entry, and keeping every row shares _grouped's columns.
-    _, _, blocks, groups = _grouped(n)
-    if all(kept):
-        return groups, _gather_plan(list(map(_block, blocks)))
-    shapes = []
-    for shape, columns, runs, sizes in groups:
-        keep = [
-            (i, slice(end - size, end), size)
-            for i, size, end in zip(runs, sizes, accumulate(sizes))
-            if kept[i]
-        ]
-        if keep:
-            runs, spans, sizes = zip(*keep)
-            columns = [list(chain.from_iterable(map(c.__getitem__, spans))) for c in columns]
-            shapes.append((shape, columns, array(_code(len(kept)), runs), array("L", sizes)))
-    used = sorted(set().union(*chain.from_iterable(c for _, c, _, _ in shapes)))
-    rank = dict(zip(used, range(len(used))))
-    code = _code(len(used))
-    shapes = tuple(
-        (shape, tuple(array(code, map(rank.__getitem__, c)) for c in columns), runs, sizes)
-        for shape, columns, runs, sizes in shapes
-    )
-    return shapes, _gather_plan([_block(blocks[i]) for i in used])
-
-
-@lru_cache(maxsize=None)
 def _terms(direction, n):
-    # the rows with a nonzero coefficient, once per direction and order, as
-    # (den, shapes, plan): den is the common denominator of the
-    # coefficients, and each shape holds the columns of its kept rows and a
-    # parallel tuple of their integer numerators over den (see _columns).
-    # The coefficient is evaluated once per forest, not once per row.
-    forests = _grouped(n)[0]
+    # the rows with a nonzero coefficient, once per kept direction and
+    # order, as (den, shapes, plan): den is the common denominator of the
+    # coefficients, and each shape holds the columns of its kept rows (as in
+    # _grouped, but indexing the kept rows' own blocks, which plan gathers;
+    # see _gather_plan) and a parallel tuple of their integer numerators
+    # over den.  The coefficient is evaluated once per forest, not per row.
+    forests, _, blocks, groups = _grouped(n)
     cs = [_coefficient(direction, forest) for forest in forests]
     den = lcm(*(c.denominator for c in cs if c))
     nums = [c.numerator * (den // c.denominator) if c else 0 for c in cs]
-    shapes, plan = _columns(n, bytes(map(bool, nums)))
+    shapes = []
+    for shape, columns, runs, sizes in groups:
+        keep = [
+            (slice(end - size, end), nums[i], size)
+            for i, size, end in zip(runs, sizes, accumulate(sizes))
+            if nums[i]
+        ]
+        if keep:
+            spans, coeffs, sizes = zip(*keep)
+            columns = [list(chain.from_iterable(map(c.__getitem__, spans))) for c in columns]
+            shapes.append((shape, columns, tuple(chain.from_iterable(map(repeat, coeffs, sizes)))))
+    used = sorted(set().union(*chain.from_iterable(c for _, c, _ in shapes)))
+    rank, code = dict(zip(used, range(len(used)))), _code(len(used))
     shapes = tuple(
-        (shape, columns, tuple(chain.from_iterable(map(repeat, map(nums.__getitem__, runs), sizes))))
-        for shape, columns, runs, sizes in shapes
+        (shape, tuple(array(code, map(rank.__getitem__, c)) for c in columns), coeffs)
+        for shape, columns, coeffs in shapes
     )
-    return den, shapes, plan
+    return den, shapes, _gather_plan([_block(blocks[i]) for i in used])
 
 
 def _gather_plan(blocks):
@@ -445,27 +440,39 @@ def _interval_fill(src, invert=False):
     return src._with_rows(zip(rows, dens))
 
 
+def _closed(c, direction):
+    # a kept sum, or the sign dual -f(-c) of the kept sum f with free and
+    # Boolean swapped (Arizmendi, Hasebe, Lehner and Vargas 2015)
+    kept, dual = _kept(direction)
+    return _partition_sum(c.negate(), kept).negate() if dual else _partition_sum(c, kept)
+
+
 def boolean_from_free(kappa):
     """Boolean cumulants from free ones: the plain sum over irreducible
     non-crossing partitions of the block products."""
-    return _partition_sum(kappa, ("free", "boolean"))
+    return _closed(kappa, ("free", "boolean"))
 
 
 def free_from_boolean(beta):
-    """Free cumulants from Boolean ones: signed by (-1)^(blocks-1)."""
-    return _partition_sum(beta, ("boolean", "free"))
+    """Free cumulants from Boolean ones: the sum over irreducible
+    non-crossing partitions of the block products signed by
+    (-1)^(blocks-1), computed as -f(-beta) with f the sum of
+    ``boolean_from_free``."""
+    return _closed(beta, ("boolean", "free"))
 
 
 def free_from_monotone(rho):
     """Free cumulants from monotone ones: signed and divided by the
     nesting-tree factorial."""
-    return _partition_sum(rho, ("monotone", "free"))
+    return _closed(rho, ("monotone", "free"))
 
 
 def boolean_from_monotone(rho):
-    """Boolean cumulants from monotone ones: divided by the nesting-tree
-    factorial, all signs positive."""
-    return _partition_sum(rho, ("monotone", "boolean"))
+    """Boolean cumulants from monotone ones: the sum over irreducible
+    non-crossing partitions of the block products divided by the
+    nesting-tree factorial, all signs positive, computed as -f(-rho) with f
+    the sum of ``free_from_monotone``."""
+    return _closed(rho, ("monotone", "boolean"))
 
 
 def monotone_from_free(kappa):
@@ -474,18 +481,17 @@ def monotone_from_free(kappa):
 
     Agrees word-by-word with ``prelie.magnus``.
     """
-    return _partition_sum(kappa, ("free", "monotone"))
+    return _closed(kappa, ("free", "monotone"))
 
 
 def monotone_from_boolean(beta):
-    """Monotone cumulants from Boolean ones: weighted by the omega
-    coefficient, all signs positive.
-
-    This sign-free sum follows from the free-cumulant formula by flipping
-    the sign of the input and the output; it equals the negated fixed-point
-    expansion of the negated input, which the test suite checks directly.
-    """
-    return _partition_sum(beta, ("boolean", "monotone"))
+    """Monotone cumulants from Boolean ones: the sum over irreducible
+    non-crossing partitions of the block products weighted by the omega
+    coefficient of the nesting tree, all signs positive, computed as
+    -f(-beta) with f the sum of ``monotone_from_free``.  It equals the
+    negated fixed-point expansion of the negated input, which the test
+    suite checks directly."""
+    return _closed(beta, ("boolean", "monotone"))
 
 
 def _require_cumulant_kind(kind):
@@ -501,7 +507,7 @@ def moments_from(kind, c):
     then the moments by the first interval, phi(w) = sum over w = u v, u
     non-empty, of beta(u) phi(v), with phi of the empty word 1."""
     _require_cumulant_kind(kind)
-    beta = c if kind == "boolean" else _partition_sum(c, (kind, "boolean"))
+    beta = c if kind == "boolean" else _closed(c, (kind, "boolean"))
     return _interval_fill(beta)
 
 
@@ -514,7 +520,7 @@ def cumulants_from_moments(kind, phi):
     """
     _require_cumulant_kind(kind)
     beta = _interval_fill(phi, invert=True)
-    return beta if kind == "boolean" else _partition_sum(beta, ("boolean", kind))
+    return beta if kind == "boolean" else _closed(beta, ("boolean", kind))
 
 
 def convert(family, to_kind):
@@ -533,7 +539,7 @@ def convert(family, to_kind):
     elif to_kind == "moment":
         data = moments_from(family.kind, family.data)
     else:
-        data = _partition_sum(family.data, (family.kind, to_kind))
+        data = _closed(family.data, (family.kind, to_kind))
     return CumulantFamily(to_kind, data)
 
 
@@ -543,6 +549,7 @@ def expansion_terms(from_kind, to_kind, n):
     Available for the six cumulant-to-cumulant directions and the three
     cumulant-to-moment sums over NC(n) that check the route through Boolean
     cumulants; moment-to-cumulant directions are recursions, with no such sum.
+    A sign dual's rows carry (-1)^(blocks-1) times its kept sum's coefficient.
     """
     if from_kind == to_kind:
         raise ValueError("identity conversion has no expansion")
@@ -551,7 +558,7 @@ def expansion_terms(from_kind, to_kind, n):
             "moment-to-cumulant conversions are recursive inversions with no"
             " closed order-n expansion"
         )
-    if (from_kind, to_kind) not in _COEFF:
+    if from_kind not in KINDS or to_kind not in KINDS:
         raise ValueError(
             f"unknown conversion {from_kind!r} -> {to_kind!r}; kinds are {KINDS}"
         )

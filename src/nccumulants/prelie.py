@@ -62,7 +62,7 @@ class Functional:
     Absent entries do not exist: the table is total, and equality compares
     total tables.  Values are exact rationals: anything ``Fraction`` reads
     exactly (ints, Fractions, "p/q" strings); a float or a bool raises
-    ``ValueError``, here and in ``map_values`` and ``scale``.
+    ``ValueError``, here and in ``scale``.
 
     The table is stored one length at a time: ``_rows[m]`` lists integer
     numerators over the one denominator ``_dens[m]``, in lowest terms, so
@@ -128,17 +128,9 @@ class Functional:
         m, code = self._locate(word)
         return Fraction(self._rows[m][code], self._dens[m])
 
-    __getitem__ = value
-
     def words(self):
         """All words of the domain, shortest first."""
         return all_words(self.alphabet, self.max_order)
-
-    def map_values(self, fn):
-        return self._with_rows([([0], 1)] + [
-            _lift([_exact(fn(Fraction(v, d))) for v in row])
-            for row, d in zip(self._rows[1:], self._dens[1:])
-        ])
 
     def add(self, other):
         _require_same_space(self, other)
@@ -149,7 +141,8 @@ class Functional:
         return self._with_rows(pairs)
 
     def negate(self):
-        return self.scale(-1)
+        # a row in lowest terms stays so with its signs flipped
+        return self._with_rows(([-v for v in row], d) for row, d in zip(self._rows, self._dens))
 
     def scale(self, c):
         c = _exact(c)
@@ -163,9 +156,6 @@ class Functional:
 
     def __sub__(self, other):
         return self.add(other.negate())
-
-    def is_zero(self):
-        return not any(map(any, self._rows))
 
     def to_json(self):
         """JSON form with "p/q" value strings; zero entries are omitted."""

@@ -364,6 +364,20 @@ class TestConvertDispatcher:
             CumulantFamily.from_json({"functional": {}})
 
 
+# every direction with a closed order-n expansion, in sorted order
+_EXPANDED = [
+    ("boolean", "free"),
+    ("boolean", "moment"),
+    ("boolean", "monotone"),
+    ("free", "boolean"),
+    ("free", "moment"),
+    ("free", "monotone"),
+    ("monotone", "boolean"),
+    ("monotone", "free"),
+    ("monotone", "moment"),
+]
+
+
 class TestExpansionTerms:
     def test_free_to_monotone_order_three(self):
         rows = {p.text(): c for p, c in expansion_terms("free", "monotone", 3)}
@@ -395,20 +409,20 @@ class TestExpansionTerms:
             out = fn(src)
             assert {w: out.value(w) for w in out.words()} == _plain_sum(src, from_kind, to_kind)
 
-    @pytest.mark.parametrize("direction", sorted(cumulants._COEFF), ids="-".join)
+    @pytest.mark.parametrize("direction", _EXPANDED, ids="-".join)
     def test_rows_match_table_rows(self, direction):
         # the conversions and expansion_terms share the grouped table, so
         # its grouping is checked here against rows read straight from the
-        # composed runs of _nc_terms (block bitmasks) and _COEFF: a
-        # reducible row enters no sum between cumulants
-        coeff = cumulants._COEFF[direction]
+        # composed runs of _nc_terms (block bitmasks) with each run's
+        # coefficient: a reducible row enters no sum between cumulants
         for n in range(1, 8):
             expected = Counter()
             for _, _, forest, columns in cumulants._nc_terms(n):
-                if forest.om is not None or direction[1] == "moment":
+                coeff = cumulants._coefficient(direction, forest)
+                if coeff is not None:
                     for row in zip(*columns):
                         p = partitions.NCPartition([_points(b, n) for b in row])
-                        expected[p.text(), Fraction(coeff(*forest))] += 1
+                        expected[p.text(), coeff] += 1
             rows = Counter((p.text(), c) for p, c in expansion_terms(*direction, n))
             assert rows == expected, n
 
@@ -419,7 +433,7 @@ class TestExpansionTerms:
         golden = pathlib.Path(__file__).with_name("expansion_order6.txt")
         rows = [
             f"{x} {y} {p.text()} {c}"
-            for x, y in sorted(cumulants._COEFF)
+            for x, y in _EXPANDED
             for p, c in expansion_terms(x, y, 6)
         ]
         assert rows == golden.read_text(encoding="utf-8").splitlines()
@@ -429,9 +443,27 @@ class TestExpansionTerms:
         # prints: all of them into moments, the irreducible ones otherwise
         for n in range(1, 10):
             every = partitions.enumerate_nc(n)
-            for x, y in sorted(cumulants._COEFF):
+            for x, y in _EXPANDED:
                 rows = [p for p, _ in expansion_terms(x, y, n)]
                 assert rows == [p for p in every if y == "moment" or p.is_irreducible()], (x, y, n)
+
+    def test_sign_dual_rows_match_closed_formulas(self):
+        # the three sums computed as sign duals, against their own
+        # coefficients read off each irreducible partition's nesting tree,
+        # with no partition table
+        for n in range(1, 10):
+            formulas = {}
+            for p in partitions.enumerate_nc_irr(n):
+                forest = partitions.nesting_forest(p)
+                for direction, c in (
+                    (("boolean", "free"), Fraction((-1) ** (p.num_blocks - 1))),
+                    (("monotone", "boolean"), Fraction(1, trees.forest_factorial(forest))),
+                    (("boolean", "monotone"), trees.omega(forest.trees[0])),
+                ):
+                    formulas.setdefault(direction, {})[p.text()] = c
+            for direction, expected in formulas.items():
+                rows = [(p.text(), c) for p, c in expansion_terms(*direction, n)]
+                assert dict(rows) == expected and len(rows) == len(expected), (direction, n)
 
     def test_moment_expansion(self):
         rows = {p.text(): c for p, c in expansion_terms("monotone", "moment", 3)}
@@ -516,7 +548,6 @@ class TestCachedTerms:
         for owner, name in (
             (partitions, "_nc_blocks"),
             (cumulants, "_grouped"),
-            (cumulants, "_columns"),
             (cumulants, "_terms"),
             (cumulants, "_listed"),
             (trees, "omega"),
@@ -578,38 +609,13 @@ class TestCachedTerms:
         touched = {name for name, fn in caches.items() if fn.cache_info() != before[name]}
         assert touched == {
             "nccumulants.cumulants._grouped",
-            "nccumulants.cumulants._columns",
             "nccumulants.cumulants._terms",
             "nccumulants.trees.omega",
             "nccumulants.trees._strict_counts",
         }
         assert cumulants._grouped.cache_info().currsize == 11
-        assert cumulants._columns.cache_info().currsize == 11
         assert cumulants._terms.cache_info().currsize == 11
         assert trees.omega.cache_info().currsize == 112
-
-    def test_directions_share_columns(self):
-        # a direction keeping every row reads _grouped's own columns, and
-        # directions keeping the same rows read one copy of them
-        n = 7
-        grouped = cumulants._grouped(n)[3]
-
-        def columns(direction):
-            return [c for _, c, _ in cumulants._terms(direction, n)[1]]
-
-        for direction in (("free", "moment"), ("monotone", "moment")):
-            assert all(a is b for a, (_, b, _, _) in zip(columns(direction), grouped, strict=True))
-        irreducible = [
-            ("free", "boolean"),
-            ("boolean", "free"),
-            ("monotone", "free"),
-            ("monotone", "boolean"),
-        ]
-        first = columns(irreducible[0])
-        for direction in irreducible[1:]:
-            assert all(a is b for a, b in zip(columns(direction), first, strict=True))
-        rows = [sum(len(c[0]) for c in cs) for cs in (columns(("boolean", "moment")), first)]
-        assert rows == [2 ** (n - 1), 132]
 
     def test_show_order_builds_each_table_once(self, monkeypatch, tmp_path):
         # --show-order reads the table the conversion groups, so no order's
@@ -636,9 +642,11 @@ class TestCachedTerms:
 
     def test_table_memory(self, monkeypatch):
         # the six directions of the uni-deep benchmark, {a} at order 11,
-        # from empty caches: no partition is enumerated, and the tables
-        # keep less than 8 MB alive with a peak under 10 MB while built
-        # (14.7 and 16.1 MB when every partition was built as block tuples)
+        # from empty caches: no partition is enumerated, the tables keep
+        # less than 8 MB alive with a peak under 10 MB while built (14.7
+        # and 16.1 MB when every partition was built as block tuples), and
+        # _terms holds the two kept sums they run, free -> Boolean and
+        # free -> monotone, at each order
         self._fresh_caches(monkeypatch)
         inputs = {"free": _pair_cumulant(11), "moment": random_functional(("a",), 11, 3)}
         enumerated = partitions._nc_blocks.cache_info()
@@ -655,6 +663,7 @@ class TestCachedTerms:
         finally:
             tracemalloc.stop()
         assert partitions._nc_blocks.cache_info() == enumerated
+        assert cumulants._terms.cache_info().currsize == 22
         assert kept < 8_000_000 and peak < 10_000_000, (kept, peak)
 
 
@@ -728,6 +737,12 @@ class TestIntegerKernel:
         out = convert(CumulantFamily(kinds[0], src), kinds[1]).data
         assert {w: out.value(w) for w in out.words()} == _interval_sum(src, invert)
 
+    def test_negate_is_scale_minus_one(self):
+        # the sign duals negate their input and output: flipping the signs
+        # of rows in lowest terms gives what the gcd pass of scale(-1) gives
+        src = _kernel_inputs()["prime-denominators"]
+        assert src.negate() == src.scale(-1) != src
+
     def test_block_products_are_integers(self, monkeypatch):
         # every value and numerator the block products read is an int
         seen = []
@@ -760,13 +775,14 @@ class TestIntegerKernel:
 
     @staticmethod
     def _expected_products(direction, rows):
-        # one product per word and per shape of the direction's table that
-        # reads no all-zero length of `rows`, the input's rows; and the row
-        # products of the old per-row kernel
+        # one product per word and per shape of the table of the direction's
+        # kept sum (itself or the sum it is the sign dual of) that reads no
+        # all-zero length of `rows`, the input's rows, which negation keeps;
+        # and the row products of the old per-row kernel
         zero = [not any(row) for row in rows]
         calls = products = 0
         for m in range(1, len(rows)):
-            for shape, _, nums in cumulants._terms(direction, m)[1]:
+            for shape, _, nums in cumulants._terms(cumulants._kept(direction)[0], m)[1]:
                 if not any(zero[k] for k in shape):
                     calls += 2**m
                 products += len(nums) * 2**m

@@ -23,6 +23,11 @@ from nccumulants.prelie import (
 AB = ("a", "b")
 
 
+def _mapped(f, fn):
+    # the functional with fn applied to every value of f
+    return Functional(f.alphabet, f.max_order, {w: fn(f.value(w)) for w in f.words()})
+
+
 def _sub(f, w, block):
     # value of f on the subword cut out by a 1-based block
     return f.value(tuple(w[i - 1] for i in block))
@@ -91,9 +96,9 @@ class TestFunctional:
             Functional(("a",), 2, {("a",): bad})
         f = Functional(("a",), 2, {("a",): 3, ("a", "a"): "1/2"})
         with pytest.raises(ValueError):
-            f.map_values(lambda v: bad)
+            _mapped(f, lambda v: bad)
         with pytest.raises(ValueError):
-            f.map_values(lambda v: bad if v == 3 else v)
+            _mapped(f, lambda v: bad if v == 3 else v)
         with pytest.raises(ValueError):
             f.scale(bad)
 
@@ -101,7 +106,7 @@ class TestFunctional:
         f = Functional(("a",), 2, {("a",): 3, ("a", "a"): "1/2"})
         assert f.scale(2) == Functional(("a",), 2, {("a",): 6, ("a", "a"): 1})
         assert f.scale("2/3").value(("a",)) == 2
-        assert f.map_values(lambda v: v.numerator).value(("a", "a")) == 1
+        assert _mapped(f, lambda v: v.numerator).value(("a", "a")) == 1
 
     def test_unknown_word_lookup(self):
         f = Functional(AB, 2)
@@ -112,14 +117,12 @@ class TestFunctional:
         # the empty word has length 0, whose placeholder row is no domain
         with pytest.raises(ValueError, match="not in the table's domain"):
             f.value(())
-        with pytest.raises(ValueError, match="not in the table's domain"):
-            f[()]
 
     def test_vector_ops(self):
         f = random_functional(AB, 3, 11)
         g = random_functional(AB, 3, 12)
         assert f.negate().negate() == f
-        assert (f + f.negate()).is_zero()
+        assert f + f.negate() == Functional(AB, 3)
         assert (f + f).scale(Fraction(1, 2)) == f
         assert f + g == g + f
         assert (f - g) + g == f
@@ -169,7 +172,7 @@ def _lowest_terms_inputs():
 
 def _outputs(f, g):
     # every way a functional is made from others: the 12 conversions, the
-    # five pre-Lie operations, the vector operations, map_values and JSON
+    # five pre-Lie operations, the vector operations and JSON
     for x in KINDS:
         for y in KINDS:
             if x != y:
@@ -186,7 +189,6 @@ def _outputs(f, g):
     yield "neg", -f
     yield "scale", f.scale(Fraction(1, 2))
     yield "scale-zero", f.scale(0)
-    yield "map_values", f.map_values(lambda v: v / 2)
     yield "from_json", Functional.from_json(f.to_json())
 
 
@@ -435,8 +437,8 @@ class TestMagnus:
 
     def test_zero_fixed_point(self):
         zero = Functional(AB, 5)
-        assert magnus(zero).is_zero()
-        assert magnus_inverse(zero).is_zero()
+        assert magnus(zero) == zero
+        assert magnus_inverse(zero) == zero
 
 
 class TestExpLeft:
@@ -561,8 +563,8 @@ def _kernel_case(name):
         kappa = Functional(AB, 6, {w: dense.value(w) for w in dense.words() if len(w) != 4})
         return kappa, random_functional(AB, 6, 131)
     if name == "integers":
-        return (random_functional(AB, 6, 132).map_values(lambda v: v.numerator),
-                random_functional(AB, 6, 133).map_values(lambda v: v.numerator))
+        return (_mapped(random_functional(AB, 6, 132), lambda v: v.numerator),
+                _mapped(random_functional(AB, 6, 133), lambda v: v.numerator))
     if name == "ternary-primes":
         return _prime_pair(ABC, 6)
     if name == "quaternary-5":
