@@ -33,7 +33,7 @@ def _build_parser():
     )
     p_enum.add_argument("--n", type=int, required=True, help="ground-set size")
     p_enum.add_argument(
-        "--k", type=int, help="block count (required for monotone-irr)"
+        "--k", type=int, help="block count (monotone-irr only, and required there)"
     )
     p_enum.add_argument(
         "--count", action="store_true", help="print only the cardinality"
@@ -88,9 +88,11 @@ def _build_parser():
 
 def _cmd_enumerate(args, out):
     if args.kind == "monotone-irr":
-        if args.k is None:
-            raise ValueError("--k is required for monotone-irr")
+        if args.k is None or args.k < 0:
+            raise ValueError("monotone-irr needs --k, a block count of at least 0")
         items = partitions.enumerate_monotone_irr(args.n, args.k)
+    elif args.k is not None:
+        raise ValueError(f"--k applies to monotone-irr only, not {args.kind}")
     elif args.kind == "nc":
         items = partitions.enumerate_nc(args.n)
     else:

@@ -20,14 +20,15 @@ partitions only, from Boolean) remain, as
 independent check of those routes, not a route of their own.
 
 The coefficient inputs are functions of the nesting forest alone: the
-block count, the forest factorial, the interval flag (every tree a single
-block) and, when the forest is one tree (the partition is irreducible),
-the omega of that tree.  Each length's table holds its rows in runs of one
-shape (the sorted block sizes) and one forest, composed from the shorter
-lengths' runs and never one partition at a time (``_nc_terms``): the
-shape, the forest and its inputs once per pair of runs, omega once per new
-tree.  Each kept sum evaluates its coefficient once per forest, from one
-map of those inputs; one loop sums the block products.
+block count, the forest factorial (1 exactly when no block is nested: the
+interval partitions) and, when the forest is one tree (the partition is
+irreducible), the omega of that tree.  Each length's table holds its rows
+in runs of one shape (the sorted block sizes) and one forest, composed from
+the shorter lengths' runs and never one partition at a time
+(``_nc_terms``): the shape, the forest and its inputs once per pair of
+runs, omega once per new tree.  Each kept sum evaluates its coefficient
+once per forest, from one map of those inputs; one loop sums the block
+products.
 
 That loop runs on integers (``_partition_sum``): each kept sum's order-n
 coefficients are numerators over one common denominator, and the values
@@ -37,15 +38,15 @@ block's value at every word once, and each word multiplies whole columns
 in nested maps, one call per shape and word and no Python code per row.
 
 The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
-pure.  They keep, for every order n that a conversion or
-``expansion_terms`` reached: ``_grouped(n)``, the runs of ``_nc_terms(n)``
-(not cached) as columns grouped by shape, with each forest's key and
-inputs; and ``_terms(direction, n)``, for each kept sum that ran, its own
-copy of the columns of the rows it keeps and one tuple of integer
-numerators per shape; ``expansion_terms`` adds ``_listed(n)``, the rows as
-partitions in ``enumerate_nc``'s order.  ``trees.omega`` keeps one omega
-per nesting tree (112 up to order 11).  No partition is enumerated, so
-``partitions._nc_blocks`` stays empty.
+pure.  They keep, for every order n that a conversion reached:
+``_grouped(n)``, the runs of ``_nc_terms(n)`` (not cached) as columns
+grouped by shape, with each forest's key and inputs; and
+``_terms(direction, n)``, for each kept sum that ran, its own copy of the
+columns of the rows it keeps and one tuple of integer numerators per shape.
+``trees.omega`` keeps one omega per nesting tree (112 up to order 11).  No
+conversion enumerates a partition.  ``expansion_terms`` (``nccum convert
+--show-order``) does, and reads no table: it lists each partition with the
+coefficient of its own nesting forest from the same map, the table's check.
 """
 
 from array import array
@@ -101,9 +102,9 @@ class CumulantFamily:
 
 
 # the coefficient inputs of a nesting forest, shared by every row of a table
-# whose partition has that forest: block count, forest factorial, interval
-# flag, and the omega of its tree, None unless the forest is one tree
-_Forest = namedtuple("_Forest", "nb ff iv om")
+# whose partition has that forest: block count, forest factorial, and the
+# omega of its tree, None unless the forest is one tree
+_Forest = namedtuple("_Forest", "nb ff om")
 
 
 def _nc_terms(n):
@@ -123,7 +124,7 @@ def _nc_terms(n):
     code = _code(1 << n)
     states, omegas = {}, {}
     if n == 1:  # the one block {1}
-        leaf = _Forest(1, 1, True, trees.omega(trees.RootedTree()))
+        leaf = _Forest(1, 1, trees.omega(trees.RootedTree()))
         states[(1,), (), 1] = leaf, [((1, [array(code, [1])]), (1, []))]
     for k in range(1, n):
         beside, below = _runs(n - k, code, k), _runs(n - 1 - k, code, k)
@@ -132,7 +133,7 @@ def _nc_terms(n):
                 new = tuple(sorted(shape + shape2)), tuple(sorted(_trees(key) + _trees(key2))), 0
                 if new not in states:
                     nb, ff = forest.nb + forest2.nb, forest.ff * forest2.ff
-                    states[new] = _Forest(nb, ff, forest.iv and forest2.iv, None), []
+                    states[new] = _Forest(nb, ff, None), []
                 states[new][1].append(((a, columns), (b, columns2)))
             kids, root = key  # the root takes point n, over NC(n - 1 - k)
             shape = shape[: shape.index(root)] + (root + 1,) + shape[shape.index(root) + 1 :]
@@ -145,7 +146,7 @@ def _nc_terms(n):
                         omegas[children] = trees.omega(trees.parse_tree(f"[{''.join(children)}]"))
                     nb = forest.nb + forest2.nb
                     ff = nb * forest.ff // forest.nb * forest2.ff
-                    states[new] = _Forest(nb, ff, not children, omegas[children]), []
+                    states[new] = _Forest(nb, ff, omegas[children]), []
                 states[new][1].append((left, (b, columns2)))
     return tuple(
         (shape, (kids, root), forest, _tiled(code, len(shape), pairs))
@@ -164,7 +165,7 @@ def _runs(k, code, shift=0, roots=False):
     # block as its bitmask moved `shift` points right; with roots, only the
     # runs of one tree.  The partition of no points is one row of no blocks.
     if not k:
-        return [((), ((), 0), _Forest(0, 1, True, None), 1, [])]
+        return [((), ((), 0), _Forest(0, 1, None), 1, [])]
     forests, keys, blocks, shapes = _grouped(k)
     masks = [mask << shift for mask in blocks]
     out = []
@@ -198,17 +199,18 @@ def _tiled(code, width, pairs):
 
 
 # The coefficient of a partition in each kept closed sum, from its block
-# count, forest factorial, interval flag and omega.  The three
-# cumulant-to-cumulant sums run over irreducible partitions only; the sums
-# into moments run over all of them.  The other three cumulant-to-cumulant
-# sums are the sign duals of these (see _closed).
+# count, forest factorial and omega.  The three cumulant-to-cumulant sums
+# run over irreducible partitions only; the sums into moments run over all
+# of them, from Boolean cumulants over the interval partitions: those with
+# no nested block, so forest factorial 1.  The other three
+# cumulant-to-cumulant sums are the sign duals of these (see _closed).
 _COEFF = {
-    ("free", "boolean"): lambda nb, ff, iv, om: 1,
-    ("monotone", "free"): lambda nb, ff, iv, om: Fraction((-1) ** (nb - 1), ff),
-    ("free", "monotone"): lambda nb, ff, iv, om: (-1) ** (nb - 1) * om,
-    ("free", "moment"): lambda nb, ff, iv, om: 1,
-    ("boolean", "moment"): lambda nb, ff, iv, om: 1 if iv else 0,
-    ("monotone", "moment"): lambda nb, ff, iv, om: Fraction(1, ff),
+    ("free", "boolean"): lambda nb, ff, om: 1,
+    ("monotone", "free"): lambda nb, ff, om: Fraction((-1) ** (nb - 1), ff),
+    ("free", "monotone"): lambda nb, ff, om: (-1) ** (nb - 1) * om,
+    ("free", "moment"): lambda nb, ff, om: 1,
+    ("boolean", "moment"): lambda nb, ff, om: int(ff == 1),
+    ("monotone", "moment"): lambda nb, ff, om: Fraction(1, ff),
 }
 
 
@@ -550,6 +552,9 @@ def expansion_terms(from_kind, to_kind, n):
     cumulant-to-moment sums over NC(n) that check the route through Boolean
     cumulants; moment-to-cumulant directions are recursions, with no such sum.
     A sign dual's rows carry (-1)^(blocks-1) times its kept sum's coefficient.
+    Each row is a partition of ``enumerate_nc`` (``enumerate_nc_irr``
+    between cumulants), in that order, with the coefficient read off its
+    own nesting forest; no table is read, so the rows check the tables.
     """
     if from_kind == to_kind:
         raise ValueError("identity conversion has no expansion")
@@ -562,28 +567,13 @@ def expansion_terms(from_kind, to_kind, n):
         raise ValueError(
             f"unknown conversion {from_kind!r} -> {to_kind!r}; kinds are {KINDS}"
         )
-    # checked first: a table cached before the bound was lowered is refused
-    partitions._check_enum_n(n)
-    cs = [_coefficient((from_kind, to_kind), forest) for forest in _grouped(n)[0]]
-    return [(p, cs[i]) for p, i in zip(*_listed(n)) if cs[i] is not None]
-
-
-@lru_cache(maxsize=None)
-def _listed(n):
-    # the order-n rows in enumerate_nc's order, for every direction, as
-    # (partitions, forest indices).  With the blocks ranked by least point,
-    # then size, then points, a row's sorted ranks list its blocks in order,
-    # and sorted rows follow enumerate_nc: first block by size and points,
-    # then the gaps.
-    forests, _, blocks, shapes = _grouped(n)
-    blocks = list(map(_block, blocks))
-    order = sorted(blocks, key=lambda b: (b[0], len(b), b))
-    rank = list(map({b: r for r, b in enumerate(order)}.__getitem__, blocks))
-    rows = []
-    for _, columns, runs, sizes in shapes:
-        columns = [map(rank.__getitem__, c) for c in columns]
-        rows += zip(map(sorted, zip(*columns)), chain.from_iterable(map(repeat, runs, sizes)))
-    ranks, ids = zip(*sorted(rows))
-    wrap = partitions.NCPartition._wrap
-    parts = tuple(wrap(tuple(map(order.__getitem__, r))) for r in ranks)
-    return parts, array(_code(len(forests)), ids)
+    coeffs = {}  # by parent array, which fixes the nesting forest
+    every = partitions.enumerate_nc(n) if to_kind == "moment" else partitions.enumerate_nc_irr(n)
+    keys = [partitions._parents(p.blocks) for p in every]
+    for p, key in zip(every, keys):
+        if key not in coeffs:
+            f = partitions.nesting_forest(p)
+            om = trees.omega(f.trees[0]) if len(f.trees) == 1 else None
+            forest = _Forest(f.size, trees.forest_factorial(f), om)
+            coeffs[key] = _coefficient((from_kind, to_kind), forest)
+    return [(p, coeffs[key]) for p, key in zip(every, keys)]

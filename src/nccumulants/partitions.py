@@ -519,12 +519,3 @@ def min_max_lt(p, s):
             return False
     return True
 
-
-def is_interval(p):
-    """True iff every block is a run of consecutive elements of the ground set."""
-    ground = p.ground
-    pos = {x: i for i, x in enumerate(ground)}
-    for b in p.blocks:
-        if pos[b[-1]] - pos[b[0]] != len(b) - 1:
-            return False
-    return True

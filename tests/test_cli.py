@@ -45,6 +45,20 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "monotone-irr", "--n", "4")
         assert code == 2 and "--k" in err
 
+    @pytest.mark.parametrize(
+        "kind, k", [("nc", "2"), ("nc-irr", "2"), ("monotone-irr", "-1")]
+    )
+    def test_bad_k_refused(self, capsys, kind, k):
+        # --k counts monotone-irr's blocks: nc and nc-irr refuse it rather
+        # than ignore it, and a negative count is refused
+        code, out, err = run_cli(capsys, "enumerate", kind, "--n", "4", "--k", k, "--count")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "--k" in err
+
+    def test_zero_k_lists_nothing(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "monotone-irr", "--n", "4", "--k", "0")
+        assert code == 0 and out == ""
+
     def test_zero_rejected(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "nc", "--n", "0")
         assert code == 2 and "error:" in err

@@ -411,10 +411,11 @@ class TestExpansionTerms:
 
     @pytest.mark.parametrize("direction", _EXPANDED, ids="-".join)
     def test_rows_match_table_rows(self, direction):
-        # the conversions and expansion_terms share the grouped table, so
-        # its grouping is checked here against rows read straight from the
-        # composed runs of _nc_terms (block bitmasks) with each run's
-        # coefficient: a reducible row enters no sum between cumulants
+        # the cross-check of the composed table against the per-partition
+        # statement: the rows of expansion_terms, read off each enumerated
+        # partition's own nesting forest, against rows read straight from
+        # the composed runs of _nc_terms (block bitmasks) with each run's
+        # coefficient; a reducible row enters no sum between cumulants
         for n in range(1, 8):
             expected = Counter()
             for _, _, forest, columns in cumulants._nc_terms(n):
@@ -465,6 +466,19 @@ class TestExpansionTerms:
                 rows = [(p.text(), c) for p, c in expansion_terms(*direction, n)]
                 assert dict(rows) == expected and len(rows) == len(expected), (direction, n)
 
+    def test_boolean_moment_rows_are_the_interval_partitions(self):
+        # from Boolean cumulants the nonzero rows into moments are exactly
+        # the interval partitions, each block a run of consecutive points:
+        # the 2^(n-1) compositions of n, each with coefficient 1
+        for n in range(1, 11):
+            rows = expansion_terms("boolean", "moment", n)
+            nonzero = [p for p, c in rows if c]
+            interval = [
+                p for p, _ in rows if all(b[-1] - b[0] == len(b) - 1 for b in p.blocks)
+            ]
+            assert nonzero == interval and len(interval) == 2 ** (n - 1), n
+            assert {c for _, c in rows if c} == {1}, n
+
     def test_moment_expansion(self):
         rows = {p.text(): c for p, c in expansion_terms("monotone", "moment", 3)}
         assert rows["{{1,3},{2}}"] == Fraction(1, 2)
@@ -501,12 +515,6 @@ class TestCachedTerms:
                 assert forests[i].ff == ff, p.text()
             assert seen == Counter(partitions.enumerate_nc(n)), n
             assert set(seen.values()) == {1}, n
-
-    def test_interval_flags_match_predicate(self):
-        for n in range(1, 11):
-            forests = cumulants._grouped(n)[0]
-            for p, _, i, _ in _table_rows(n):
-                assert forests[i].iv == partitions.is_interval(p), p.text()
 
     def test_omega_matches_recursive_oracle(self):
         # the table's omega against the Bernoulli recursion over block subsets
@@ -549,7 +557,6 @@ class TestCachedTerms:
             (partitions, "_nc_blocks"),
             (cumulants, "_grouped"),
             (cumulants, "_terms"),
-            (cumulants, "_listed"),
             (trees, "omega"),
         ):
             original = getattr(owner, name).__wrapped__
@@ -587,7 +594,7 @@ class TestCachedTerms:
         for x, y in (("free", "moment"), ("moment", "monotone"), ("boolean", "free")):
             with pytest.raises(ValueError, match="enumeration bound"):
                 convert(CumulantFamily(x, src), y)
-        # a table cached before the bound was lowered is not read past it
+        # nor is an expansion listed past it
         with pytest.raises(ValueError, match="enumeration bound"):
             expansion_terms("free", "monotone", 9)
         assert enumerated == []
@@ -618,27 +625,31 @@ class TestCachedTerms:
         assert trees.omega.cache_info().currsize == 112
 
     def test_show_order_builds_each_table_once(self, monkeypatch, tmp_path):
-        # --show-order reads the table the conversion groups, so no order's
-        # rows are composed twice, and it enumerates no partition
+        # the conversion composes each order's rows once, and --show-order
+        # lists its rows from the enumeration, reading no table
         self._fresh_caches(monkeypatch)
-        built = {"_nc_terms": Counter(), "_nc_blocks": Counter()}
+        built, listing = Counter(), []
+        nc_terms = cumulants._nc_terms
 
-        def counting(fn, counter):
-            def wrapper(n):
-                counter[n] += 1
-                return fn(n)
+        def composing(n):
+            built[n] += 1
+            return nc_terms(n)
 
-            return wrapper
+        def listed(*args):
+            before = built.copy(), cumulants._grouped.cache_info()
+            rows = expansion_terms(*args)
+            listing.append(before == (built, cumulants._grouped.cache_info()))
+            return rows
 
-        for owner, name in ((cumulants, "_nc_terms"), (partitions, "_nc_blocks")):
-            monkeypatch.setattr(owner, name, counting(getattr(owner, name), built[name]))
+        monkeypatch.setattr(cumulants, "_nc_terms", composing)
+        monkeypatch.setattr(cumulants, "expansion_terms", listed)
         m = 6
         src = tmp_path / "in.json"
         src.write_text(json.dumps(CumulantFamily("free", _pair_cumulant(m)).to_json()))
         argv = ["convert", "--from", "free", "--to", "monotone", "--input", str(src)]
         argv += ["--output", str(tmp_path / "out.json"), "--show-order", str(m)]
         assert cli.main(argv) == 0
-        assert built == {"_nc_terms": Counter(range(1, m + 1)), "_nc_blocks": Counter()}
+        assert built == Counter(range(1, m + 1)) and listing == [True]
 
     def test_table_memory(self, monkeypatch):
         # the six directions of the uni-deep benchmark, {a} at order 11,

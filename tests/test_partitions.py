@@ -11,7 +11,6 @@ from nccumulants.partitions import (
     enumerate_nc,
     enumerate_nc_irr,
     irreducible_components,
-    is_interval,
     min_max_lt,
     monotone_count_partition,
     nesting_forest,
@@ -423,16 +422,3 @@ class TestMinMax:
     def test_mismatched_ground(self):
         with pytest.raises(ValueError):
             min_max_lt(P("{{1,2}}"), P("{{1,2,3}}"))
-
-
-class TestInterval:
-    def test_examples(self):
-        assert is_interval(P("{{1,2},{3,4}}"))
-        assert is_interval(NCPartition.full(4))
-        assert is_interval(NCPartition.discrete(4))
-        assert not is_interval(P("{{1,3},{2}}"))
-
-    def test_counts(self):
-        # interval partitions of [n] are the compositions: 2^(n-1)
-        for n in range(1, 7):
-            assert sum(1 for p in enumerate_nc(n) if is_interval(p)) == 2 ** (n - 1)
