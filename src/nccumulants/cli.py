@@ -186,11 +186,12 @@ def _cmd_convert(args, out):
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(result.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for p, coeff in rows:
-        print(
-            json.dumps({"partition": p.text(), "coefficient": str(coeff)}),
-            file=out,
+    out.write(
+        "".join(
+            json.dumps({"partition": p.text(), "coefficient": str(coeff)}) + "\n"
+            for p, coeff in rows
         )
+    )
     return 0
 
 

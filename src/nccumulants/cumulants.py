@@ -27,22 +27,23 @@ in runs of one shape (the sorted block sizes) and one forest, composed from
 the shorter lengths' runs and never one partition at a time
 (``_nc_terms``): the shape, the forest and its inputs once per pair of
 runs, omega once per new tree.  Each kept sum evaluates its coefficient
-once per forest, from one map of those inputs; one loop sums the block
+once per run, from one map of those inputs; one loop sums the block
 products.
 
 That loop runs on integers (``_partition_sum``): each kept sum's order-n
 coefficients are numerators over one common denominator, and the values
 are the input's own integer rows (see ``prelie.Functional``).  A shape's
-rows are stored as columns of block indices; each length gathers every
-block's value at every word once, and each word multiplies whole columns
-in nested maps, one call per shape and word and no Python code per row.
+rows are bitmask columns, ranked once per kept sum into columns of block
+indices; each length gathers every block's value at every word once, and
+each word multiplies whole columns in nested maps, one call per shape and
+word and no Python code per row.
 
 The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
-pure.  They keep, for every order n that a conversion reached:
-``_grouped(n)``, the runs of ``_nc_terms(n)`` (not cached) as columns
-grouped by shape, with each forest's key and inputs; and
-``_terms(direction, n)``, for each kept sum that ran, its own copy of the
-columns of the rows it keeps and one tuple of integer numerators per shape.
+pure; the cached arrays are shared and never written.  They keep, for every
+order n that a conversion reached: ``_nc_terms(n)``, the rows of each shape
+as bitmask columns, with each run's forest key, inputs and row count; and
+``_terms(direction, n)``, for each kept sum that ran, the index columns of
+the rows it keeps and one tuple of integer numerators per shape.
 ``trees.omega`` keeps one omega per nesting tree (112 up to order 11).  No
 conversion enumerates a partition.  ``expansion_terms`` (``nccum convert
 --show-order``) does, and reads no table: it lists each partition with the
@@ -52,10 +53,10 @@ coefficient of its own nesting forest from the same map, the table's check.
 from array import array
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import lcm, prod
-from operator import add, getitem, iadd, mul
+from operator import add, getitem, mul
 
 from . import partitions, trees
 from .prelie import Functional, _common, _product_at, _reduced
@@ -107,19 +108,22 @@ class CumulantFamily:
 _Forest = namedtuple("_Forest", "nb ff om")
 
 
+@lru_cache(maxsize=None)
 def _nc_terms(n):
-    # the order-n rows as runs (shape, key, forest, columns) of one shape
-    # (sorted block sizes) and one nesting forest, with its key and _Forest
-    # record; the j-th column lists every row's j-th block as its bitmask
-    # over [n], point i the bit i - 1.  A key is (trees, 0), the sorted
-    # bracket encodings of the forest's trees, or for one tree (kids, root),
-    # its children's encodings and the size of its root block, column 0.
+    # the order-n rows, one (shape, columns, runs) per shape (sorted block
+    # sizes): columns[j] lists every row's j-th block as its bitmask over
+    # [n], point i the bit i - 1, and the rows come in runs (key, forest,
+    # rows) of one nesting forest, with its _Forest record and row count.
+    # A key is (trees, 0), the sorted bracket encodings of the forest's
+    # trees, or for one tree (kids, root), its children's encodings and the
+    # size of its root block, column 0.
     #
     # NC(n) is Irr(k) beside NC(n - k), k = 1..n, where Irr holds the
     # irreducible partitions (first and last point in the root block), and
     # Irr(n) is Irr(k) whose root takes point n over NC(n - 1 - k) in
-    # between.  Each pair of cached runs is composed once, and the pairs
-    # that meet in one shape and forest are tiled into one run.
+    # between.  Each pair of cached runs is composed once, the pairs that
+    # meet in one shape and forest make one run, and a shape's runs are
+    # tiled into one set of columns.
     partitions._check_enum_n(n)
     code = _code(1 << n)
     states, omegas = {}, {}
@@ -148,9 +152,14 @@ def _nc_terms(n):
                     ff = nb * forest.ff // forest.nb * forest2.ff
                     states[new] = _Forest(nb, ff, omegas[children]), []
                 states[new][1].append((left, (b, columns2)))
+    shapes = {}
+    for (shape, kids, root), (forest, pairs) in states.items():
+        runs, tiles = shapes.setdefault(shape, ([], []))
+        runs.append(((kids, root), forest, sum(a * b for (a, _), (b, _) in pairs)))
+        tiles += pairs
     return tuple(
-        (shape, (kids, root), forest, _tiled(code, len(shape), pairs))
-        for (shape, kids, root), (forest, pairs) in states.items()
+        (shape, _tiled(code, len(shape), tiles), tuple(runs))
+        for shape, (runs, tiles) in shapes.items()
     )
 
 
@@ -161,25 +170,23 @@ def _trees(key):
 
 
 def _runs(k, code, shift=0, roots=False):
-    # the runs of _grouped(k) as (shape, key, forest, rows, columns), each
+    # the runs of _nc_terms(k) as (shape, key, forest, rows, columns), each
     # block as its bitmask moved `shift` points right; with roots, only the
     # runs of one tree.  The partition of no points is one row of no blocks.
     if not k:
         return [((), ((), 0), _Forest(0, 1, None), 1, [])]
-    forests, keys, blocks, shapes = _grouped(k)
-    masks = [mask << shift for mask in blocks]
     out = []
-    for shape, columns, runs, sizes in shapes:
-        for i, size, end in zip(runs, sizes, accumulate(sizes)):
-            if not roots or keys[i][1]:
-                run = [array(code, map(masks.__getitem__, c[end - size : end])) for c in columns]
-                out.append((shape, keys[i], forests[i], size, run))
+    for shape, columns, runs in _nc_terms(k):
+        for (key, forest, rows), end in zip(runs, accumulate(run[2] for run in runs)):
+            if not roots or key[1]:
+                run = [array(code, map(shift.__rlshift__, c[end - rows : end])) for c in columns]
+                out.append((shape, key, forest, rows, run))
     return out
 
 
 def _tiled(code, width, pairs):
-    # the `width` columns of one run from its (rows, columns) pairs: every
-    # left row beside every right one.  The side with fewer rows repeats
+    # the `width` columns of one shape from its (rows, columns) pairs, in
+    # order: every left row beside every right one.  The side with fewer rows repeats
     # whole, and each block of the other repeats over a stride of as many.
     total = sum(a * b for (a, _), (b, _) in pairs)
     out = [array(code, [0]) * total for _ in range(width)]
@@ -236,42 +243,9 @@ def _coefficient(direction, forest):
 
 
 def _code(count):
-    # the array typecode of indices below count: 2 bytes while count < 2^16
-    # (905 forests and 4,095 blocks at n = 12)
+    # the array typecode of indices or bitmasks below count: 2 bytes while
+    # count < 2^16 (bitmasks below 2^12 at n = 12)
     return "H" if count < 1 << 16 else "L"
-
-
-@lru_cache(maxsize=None)
-def _grouped(n):
-    # the order-n rows grouped once for every direction, as (forests, keys,
-    # blocks, shapes): forests lists each distinct forest of the runs once, as
-    # its _Forest record, keys its key (see _nc_terms), and blocks the bitmask
-    # of every non-empty subset of [n].  A shape holds its rows as (shape,
-    # columns, runs, sizes): the j-th column is an array of the index into
-    # blocks of each row's j-th block, and the rows come in runs of one forest
-    # each, runs[r] the forest's index and sizes[r] its row count.  Blocks are
-    # indexed in the order the columns first read them, so the products read the
-    # gathered values nearly in order (5% faster at order 11 than by bitmask).
-    index, groups = {}, {}
-    for shape, key, forest, columns in _nc_terms(n):
-        i = index.setdefault(key, (len(index), forest))[0]
-        groups.setdefault(shape, []).append((i, columns))
-    columns = {
-        shape: [reduce(iadd, c, array(c[0].typecode)) for c in zip(*(c for _, c in runs))]
-        for shape, runs in groups.items()
-    }
-    blocks = array(_code(1 << n), dict.fromkeys(chain.from_iterable(chain(*columns.values()))))
-    rank, code = {mask: new for new, mask in enumerate(blocks)}, _code(len(index))
-    shapes = tuple(
-        (
-            shape,
-            tuple(array(c.typecode, map(rank.__getitem__, c)) for c in columns[shape]),
-            array(code, (i for i, _ in runs)),
-            array("L", (len(c[0]) for _, c in runs)),
-        )
-        for shape, runs in groups.items()
-    )
-    return tuple(forest for _, forest in index.values()), tuple(index), blocks, shapes
 
 
 def _block(mask):  # the points of the block with this bitmask, ascending
@@ -283,31 +257,33 @@ def _terms(direction, n):
     # the rows with a nonzero coefficient, once per kept direction and
     # order, as (den, shapes, plan): den is the common denominator of the
     # coefficients, and each shape holds the columns of its kept rows (as in
-    # _grouped, but indexing the kept rows' own blocks, which plan gathers;
+    # _nc_terms, but indexing the kept rows' own blocks, which plan gathers;
     # see _gather_plan) and a parallel tuple of their integer numerators
-    # over den.  The coefficient is evaluated once per forest, not per row.
-    forests, _, blocks, groups = _grouped(n)
-    cs = [_coefficient(direction, forest) for forest in forests]
-    den = lcm(*(c.denominator for c in cs if c))
-    nums = [c.numerator * (den // c.denominator) if c else 0 for c in cs]
+    # over den.  The coefficient is evaluated once per run, not per row.
+    # Blocks are indexed in the order the columns first read them, so the
+    # products read the gathered values nearly in order (5% faster at order
+    # 11 than by bitmask).
+    table = _nc_terms(n)
+    cs = [[_coefficient(direction, forest) for _, forest, _ in runs] for _, _, runs in table]
+    den = lcm(*(c.denominator for c in chain.from_iterable(cs) if c))
     shapes = []
-    for shape, columns, runs, sizes in groups:
+    for (shape, columns, runs), coeffs in zip(table, cs):
         keep = [
-            (slice(end - size, end), nums[i], size)
-            for i, size, end in zip(runs, sizes, accumulate(sizes))
-            if nums[i]
+            (slice(end - rows, end), c.numerator * (den // c.denominator), rows)
+            for (_, _, rows), end, c in zip(runs, accumulate(run[2] for run in runs), coeffs)
+            if c
         ]
         if keep:
-            spans, coeffs, sizes = zip(*keep)
-            columns = [list(chain.from_iterable(map(c.__getitem__, spans))) for c in columns]
-            shapes.append((shape, columns, tuple(chain.from_iterable(map(repeat, coeffs, sizes)))))
-    used = sorted(set().union(*chain.from_iterable(c for _, c, _ in shapes)))
-    rank, code = dict(zip(used, range(len(used)))), _code(len(used))
+            spans, nums, sizes = zip(*keep)
+            columns = [array(c.typecode, chain(*map(c.__getitem__, spans))) for c in columns]
+            shapes.append((shape, columns, tuple(chain.from_iterable(map(repeat, nums, sizes)))))
+    used = dict.fromkeys(chain.from_iterable(chain.from_iterable(c for _, c, _ in shapes)))
+    rank, code = {mask: i for i, mask in enumerate(used)}, _code(len(used))
     shapes = tuple(
-        (shape, tuple(array(code, map(rank.__getitem__, c)) for c in columns), coeffs)
-        for shape, columns, coeffs in shapes
+        (shape, tuple(array(code, map(rank.__getitem__, c)) for c in columns), nums)
+        for shape, columns, nums in shapes
     )
-    return den, shapes, _gather_plan([_block(blocks[i]) for i in used])
+    return den, shapes, _gather_plan(list(map(_block, used)))
 
 
 def _gather_plan(blocks):

@@ -140,9 +140,7 @@ class NCPartition:
 
 
 def _blocks_text(blocks):
-    if not blocks:
-        return "{}"
-    return "{" + ",".join("{" + ",".join(str(x) for x in b) + "}" for b in blocks) + "}"
+    return "{" + ",".join(["{" + ",".join(map(str, b)) + "}" for b in blocks]) + "}"
 
 
 def _blocks_from_text(s):

@@ -44,16 +44,14 @@ def _points(mask, n):
 
 
 def _table_rows(n):
-    # every row of the order-n table read back from the grouped columns, as
-    # (partition, shape, forest index, row of block bitmasks); NCPartition
-    # checks that the decoded blocks are a non-crossing partition
-    _, _, blocks, shapes = cumulants._grouped(n)
-    assert sorted(blocks) == list(range(1, 2**n))
-    for shape, columns, runs, sizes in shapes:
-        owners = [i for i, size in zip(runs, sizes) for _ in range(size)]
-        for row, i in zip(zip(*columns), owners, strict=True):
-            row = [blocks[b] for b in row]
-            yield partitions.NCPartition([_points(b, n) for b in row]), shape, i, row
+    # every row of the order-n table read back from its bitmask columns, as
+    # (partition, shape, key, forest, row of block bitmasks), the key and
+    # the _Forest record those of the row's run; NCPartition checks that the
+    # decoded blocks are a non-crossing partition
+    for shape, columns, runs in cumulants._nc_terms(n):
+        owners = [(key, forest) for key, forest, rows in runs for _ in range(rows)]
+        for row, (key, forest) in zip(zip(*columns), owners, strict=True):
+            yield partitions.NCPartition([_points(b, n) for b in row]), shape, key, forest, row
 
 
 # a conversion whose legs into moments are the closed sum over NC(n)
@@ -164,7 +162,8 @@ class TestMoments:
         def refused(*args):
             raise AssertionError("a partition table was read")
 
-        monkeypatch.setattr(cumulants, "_grouped", refused)
+        monkeypatch.setattr(cumulants, "_nc_terms", refused)
+        monkeypatch.setattr(cumulants, "_terms", refused)
         monkeypatch.setattr(partitions, "_check_enum_n", refused)
         n = 30
         catalan = [comb(2 * k, k) // (k + 1) for k in range(n // 2 + 1)]
@@ -418,12 +417,10 @@ class TestExpansionTerms:
         # coefficient; a reducible row enters no sum between cumulants
         for n in range(1, 8):
             expected = Counter()
-            for _, _, forest, columns in cumulants._nc_terms(n):
+            for p, _, _, forest, _ in _table_rows(n):
                 coeff = cumulants._coefficient(direction, forest)
                 if coeff is not None:
-                    for row in zip(*columns):
-                        p = partitions.NCPartition([_points(b, n) for b in row])
-                        expected[p.text(), coeff] += 1
+                    expected[p.text(), coeff] += 1
             rows = Counter((p.text(), c) for p, c in expansion_terms(*direction, n))
             assert rows == expected, n
 
@@ -496,7 +493,7 @@ class TestExpansionTerms:
 
 class TestCachedTerms:
     # the table's rows are composed from shorter orders' runs; the checks
-    # below read them back from the grouped columns and compare them with
+    # below read them back from the bitmask columns and compare them with
     # enumerate_nc and with partitions.nesting_forest, which reads each
     # partition's parent array, so the two routes share no code
 
@@ -505,57 +502,70 @@ class TestCachedTerms:
         # shape, with its block count and the factorial of the nesting
         # forest read off its parent array
         for n in range(1, 11):
-            forests = cumulants._grouped(n)[0]
             seen = Counter()
-            for p, shape, i, _ in _table_rows(n):
+            for p, shape, _, forest, _ in _table_rows(n):
                 seen[p] += 1
                 assert shape == tuple(sorted(map(len, p.blocks))), p.text()
-                assert forests[i].nb == p.num_blocks, p.text()
+                assert forest.nb == p.num_blocks, p.text()
                 ff = trees.forest_factorial(partitions.nesting_forest(p))
-                assert forests[i].ff == ff, p.text()
+                assert forest.ff == ff, p.text()
             assert seen == Counter(partitions.enumerate_nc(n)), n
             assert set(seen.values()) == {1}, n
 
     def test_omega_matches_recursive_oracle(self):
         # the table's omega against the Bernoulli recursion over block subsets
         for n in range(1, 9):
-            forests = cumulants._grouped(n)[0]
-            for p, _, i, _ in _table_rows(n):
+            for p, _, _, forest, _ in _table_rows(n):
                 if p.is_irreducible():
-                    assert forests[i].om == oracle.omega_recursive(p), p.text()
+                    assert forest.om == oracle.omega_recursive(p), p.text()
                 else:
-                    assert forests[i].om is None, p.text()
+                    assert forest.om is None, p.text()
 
     def test_omega_matches_nesting_tree(self):
         for n in range(1, 11):
-            forests = cumulants._grouped(n)[0]
-            for p, _, i, _ in _table_rows(n):
-                if forests[i].om is not None:
+            for p, _, _, forest, _ in _table_rows(n):
+                if forest.om is not None:
                     tree = partitions.nesting_forest(p).trees[0]
-                    assert forests[i].om == trees.omega(tree), p.text()
+                    assert forest.om == trees.omega(tree), p.text()
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_composed_forests_match_nesting_forest(self, n):
+        # the forests that the closed-sum tables compose, read back as each
+        # row's key, against the ones read off each partition's parent
+        # array; a key is the sorted encodings of the forest's trees, or of
+        # one tree's children with the size of its root block
+        for p, _, (encodings, root), _, _ in _table_rows(n):
+            text = "".join(encodings)
+            if root:
+                text = f"[{text}]"
+                assert root == len(p.blocks[0]) and p.is_irreducible(), p.text()
+            assert trees.parse_forest(text) == partitions.nesting_forest(p), p.text()
 
     def test_rows_share_one_record_per_forest(self):
-        # the rows of one forest index share its record, so they must have
-        # one nesting forest and, if irreducible, one root block size (the
-        # composition extends the root, its column 0); distinct indices
-        # must differ in one of the two
+        # no two runs of an order share (shape, key); the rows of one key
+        # must have one nesting forest and, if irreducible, one root block
+        # size (the composition extends the root, its column 0), and its
+        # runs carry equal _Forest records; distinct keys must differ in
+        # the nesting forest or the root size
         for n in range(1, 10):
-            forest_of = {}
-            for p, _, i, row in _table_rows(n):
+            runs = [(shape, key) for shape, _, rs in cumulants._nc_terms(n) for key, _, _ in rs]
+            assert len(set(runs)) == len(runs), n
+            forest_of, record = {}, {}
+            for p, _, key, forest, row in _table_rows(n):
                 root = len(p.blocks[0]) if p.is_irreducible() else 0
                 if root:
                     assert _points(row[0], n) == list(p.blocks[0]), p.text()
                 nesting = partitions.nesting_forest(p)
-                assert forest_of.setdefault(i, (nesting, root)) == (nesting, root), p.text()
+                assert forest_of.setdefault(key, (nesting, root)) == (nesting, root), p.text()
+                assert record.setdefault(key, forest) == forest, p.text()
             assert len(set(forest_of.values())) == len(forest_of), n
-            assert len(forest_of) == len(cumulants._grouped(n)[0]), n
 
     @staticmethod
     def _fresh_caches(monkeypatch):
         # empty table caches for one test, so no earlier table is reused
         for owner, name in (
             (partitions, "_nc_blocks"),
-            (cumulants, "_grouped"),
+            (cumulants, "_nc_terms"),
             (cumulants, "_terms"),
             (trees, "omega"),
         ):
@@ -567,13 +577,13 @@ class TestCachedTerms:
         # four threads building the same tables from empty caches at once
         # each get what one thread builds alone
         orders = range(1, 10)
-        expected = [cumulants._grouped.__wrapped__(n) for n in orders]
+        expected = [cumulants._nc_terms.__wrapped__(n) for n in orders]
         self._fresh_caches(monkeypatch)
         start = threading.Barrier(4)
 
         def build():
             start.wait()
-            return [cumulants._grouped(n) for n in orders]
+            return [cumulants._nc_terms(n) for n in orders]
 
         with ThreadPoolExecutor(4) as pool:
             results = [f.result() for f in [pool.submit(build) for _ in range(4)]]
@@ -583,21 +593,55 @@ class TestCachedTerms:
         # the tables are composed without enumerating; the bound is still
         # checked, before any run is read or composed
         self._fresh_caches(monkeypatch)
-        cumulants._grouped(9)
         enumerated = []
-        for owner, name in ((partitions, "_nc_blocks"), (cumulants, "_runs")):
-            monkeypatch.setattr(owner, name, lambda *args: enumerated.append(args))
-        monkeypatch.setenv("NC_CUMULANTS_MAX_N", "8")
-        with pytest.raises(ValueError, match="enumeration bound"):
-            cumulants._nc_terms(9)
+        with monkeypatch.context() as patch:
+            for owner, name in ((partitions, "_nc_blocks"), (cumulants, "_runs")):
+                patch.setattr(owner, name, lambda *args: enumerated.append(args))
+            patch.setenv("NC_CUMULANTS_MAX_N", "8")
+            with pytest.raises(ValueError, match="enumeration bound"):
+                cumulants._nc_terms(9)
+        assert enumerated == []
+        # a cached table is returned without the check, so a conversion
+        # checks the bound before it reads any table: with order 9 cached,
+        # each conversion past the bound still refuses it and reads none
         src = random_functional(("a",), 9, 17)
-        for x, y in (("free", "moment"), ("moment", "monotone"), ("boolean", "free")):
+        conversions = (("free", "moment"), ("moment", "monotone"), ("boolean", "free"))
+        for x, y in conversions:
+            convert(CumulantFamily(x, src), y)
+        read = cumulants._nc_terms.cache_info(), cumulants._terms.cache_info()
+        monkeypatch.setattr(partitions, "_nc_blocks", lambda *args: enumerated.append(args))
+        monkeypatch.setenv("NC_CUMULANTS_MAX_N", "8")
+        for x, y in conversions:
             with pytest.raises(ValueError, match="enumeration bound"):
                 convert(CumulantFamily(x, src), y)
         # nor is an expansion listed past it
         with pytest.raises(ValueError, match="enumeration bound"):
             expansion_terms("free", "monotone", 9)
+        assert (cumulants._nc_terms.cache_info(), cumulants._terms.cache_info()) == read
         assert enumerated == []
+
+    def test_cached_tables_are_read_only(self, monkeypatch):
+        # later orders and every kept sum read the same cached arrays, so
+        # nothing may write to them: every column of _nc_terms, taken as
+        # each order is built, and of _terms for the six kept sums, up to
+        # order 9, is unchanged after the twelve directions run at {a,b}
+        # order 7 and {a} order 9
+        self._fresh_caches(monkeypatch)
+
+        def columns(shapes):  # the bytes of every column of a table's shapes
+            return [c.tobytes() for _, cs, _ in shapes for c in cs]
+
+        def kept():
+            return [columns(cumulants._terms(d, n)[1]) for d in cumulants._COEFF for n in orders]
+
+        orders = range(1, 10)
+        tables, sums = [columns(cumulants._nc_terms(n)) for n in orders], kept()
+        for src in (random_functional(AB, 7, 41), random_functional(("a",), 9, 43)):
+            for x in cumulants.KINDS:
+                for y in cumulants.KINDS:
+                    if x != y:
+                        convert(CumulantFamily(x, src), y)
+        assert [columns(cumulants._nc_terms(n)) for n in orders] == tables and kept() == sums
 
     def test_cache_sizes(self, monkeypatch):
         # what the table caches keep after a conversion at order 11: one
@@ -615,12 +659,12 @@ class TestCachedTerms:
         convert(CumulantFamily("free", _pair_cumulant(11)), "monotone")
         touched = {name for name, fn in caches.items() if fn.cache_info() != before[name]}
         assert touched == {
-            "nccumulants.cumulants._grouped",
+            "nccumulants.cumulants._nc_terms",
             "nccumulants.cumulants._terms",
             "nccumulants.trees.omega",
             "nccumulants.trees._strict_counts",
         }
-        assert cumulants._grouped.cache_info().currsize == 11
+        assert cumulants._nc_terms.cache_info().currsize == 11
         assert cumulants._terms.cache_info().currsize == 11
         assert trees.omega.cache_info().currsize == 112
 
@@ -629,19 +673,19 @@ class TestCachedTerms:
         # lists its rows from the enumeration, reading no table
         self._fresh_caches(monkeypatch)
         built, listing = Counter(), []
-        nc_terms = cumulants._nc_terms
+        nc_terms = cumulants._nc_terms.__wrapped__
 
-        def composing(n):
+        def composing(n):  # one call per cache miss
             built[n] += 1
             return nc_terms(n)
 
         def listed(*args):
-            before = built.copy(), cumulants._grouped.cache_info()
+            before = cumulants._nc_terms.cache_info()
             rows = expansion_terms(*args)
-            listing.append(before == (built, cumulants._grouped.cache_info()))
+            listing.append(before == cumulants._nc_terms.cache_info())
             return rows
 
-        monkeypatch.setattr(cumulants, "_nc_terms", composing)
+        monkeypatch.setattr(cumulants, "_nc_terms", lru_cache(maxsize=None)(composing))
         monkeypatch.setattr(cumulants, "expansion_terms", listed)
         m = 6
         src = tmp_path / "in.json"

@@ -2,7 +2,7 @@ from math import comb, factorial
 
 import pytest
 
-from nccumulants import cumulants, oracle, partitions, trees
+from nccumulants import oracle, partitions, trees
 from nccumulants.partitions import (
     BlockSubset,
     MonotonePartition,
@@ -213,25 +213,6 @@ class TestStructure:
                 assert len(inner) == (1 if outer else 0), p.text()
                 expected.append(inner[0] if inner else None)
             assert partitions._parents(p.blocks) == tuple(expected), p.text()
-
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_composed_forests_match_nesting_forest(self, n):
-        # the forests that the closed-sum tables compose, read back as each
-        # row's key, against the ones read off each partition's parent
-        # array; a key is the sorted encodings of the forest's trees, or of
-        # one tree's children with the size of its root block
-        _, keys, blocks, shapes = cumulants._grouped(n)
-        for _, columns, runs, sizes in shapes:
-            owners = [i for i, size in zip(runs, sizes) for _ in range(size)]
-            for row, i in zip(zip(*columns), owners, strict=True):
-                masks = [blocks[b] for b in row]
-                p = NCPartition([[x for x in range(1, n + 1) if m >> (x - 1) & 1] for m in masks])
-                encodings, root = keys[i]
-                text = "".join(encodings)
-                if root:
-                    text = f"[{text}]"
-                    assert root == len(p.blocks[0]) and p.is_irreducible(), p.text()
-                assert trees.parse_forest(text) == nesting_forest(p), p.text()
 
     def test_forest_vertex_count(self):
         for n in range(1, 7):
