@@ -166,9 +166,20 @@ def _cmd_tree(args, out):
     return 0
 
 
+def _unique_keys(pairs):
+    # a JSON object read as a dict, refusing a repeated key rather than
+    # keeping its last value
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r} in the input JSON")
+        obj[key] = value
+    return obj
+
+
 def _cmd_convert(args, out):
     with open(args.input, encoding="utf-8") as fh:
-        envelope = json.load(fh)
+        envelope = json.load(fh, object_pairs_hook=_unique_keys)
     family = CumulantFamily.from_json(envelope)
     if family.kind != args.from_kind:
         raise ValueError(

@@ -19,16 +19,14 @@ partitions only, from Boolean) remain, as
 ``_partition_sum(c, (kind, "moment"))`` and in ``expansion_terms``, the
 independent check of those routes, not a route of their own.
 
-The coefficient inputs are functions of the nesting forest alone: the
-block count, the forest factorial (1 exactly when no block is nested: the
-interval partitions) and, when the forest is one tree (the partition is
-irreducible), the omega of that tree.  Each length's table holds its rows
-in runs of one shape (the sorted block sizes) and one forest, composed from
-the shorter lengths' runs and never one partition at a time
-(``_nc_terms``): the shape, the forest and its inputs once per pair of
-runs, omega once per new tree.  Each kept sum evaluates its coefficient
-once per run, from one map of those inputs; one loop sums the block
-products.
+The coefficient inputs are functions of the nesting forest alone, all read
+from ``trees``: the block count, the forest factorial (1 exactly when no
+block is nested: the interval partitions) and, when the forest is one tree
+(the partition is irreducible), its omega.  Each length's table holds its
+rows in runs of one shape (the sorted block sizes) and one
+``trees.Forest``, composed once per pair of the shorter lengths' runs,
+never one partition at a time (``_nc_terms``).  Each kept sum evaluates its
+coefficient once per run; one loop sums the block products.
 
 That loop runs on integers (``_partition_sum``): each kept sum's order-n
 coefficients are numerators over one common denominator, and the values
@@ -41,17 +39,17 @@ word and no Python code per row.
 The caches are unbounded ``lru_cache``s, thread-safe, and all functions are
 pure; the cached arrays are shared and never written.  They keep, for every
 order n that a conversion reached: ``_nc_terms(n)``, the rows of each shape
-as bitmask columns, with each run's forest key, inputs and row count; and
-``_terms(direction, n)``, for each kept sum that ran, the index columns of
-the rows it keeps and one tuple of integer numerators per shape.
-``trees.omega`` keeps one omega per nesting tree (112 up to order 11).  No
-conversion enumerates a partition.  ``expansion_terms`` (``nccum convert
---show-order``) does, and reads no table: it lists each partition with the
-coefficient of its own nesting forest from the same map, the table's check.
+as bitmask columns, with each run's forest, root block size and row count;
+and ``_terms(direction, n)``, for each kept sum that ran, the index columns
+of the rows it keeps and one tuple of integer numerators per shape.
+``trees.omega`` and ``trees.tree_factorial`` keep one entry per nesting
+tree a kept sum read (112 up to order 11).  No conversion enumerates a
+partition.  ``expansion_terms`` (``nccum convert --show-order``) does, and
+reads no table: it lists each partition with the coefficient of its own
+nesting forest from the same map, the table's check.
 """
 
 from array import array
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -102,60 +100,40 @@ class CumulantFamily:
         return cls(kind, Functional.from_json(functional))
 
 
-# the coefficient inputs of a nesting forest, shared by every row of a table
-# whose partition has that forest: block count, forest factorial, and the
-# omega of its tree, None unless the forest is one tree
-_Forest = namedtuple("_Forest", "nb ff om")
-
-
 @lru_cache(maxsize=None)
 def _nc_terms(n):
     # the order-n rows, one (shape, columns, runs) per shape (sorted block
     # sizes): columns[j] lists every row's j-th block as its bitmask over
-    # [n], point i the bit i - 1, and the rows come in runs (key, forest,
-    # rows) of one nesting forest, with its _Forest record and row count.
-    # A key is (trees, 0), the sorted bracket encodings of the forest's
-    # trees, or for one tree (kids, root), its children's encodings and the
-    # size of its root block, column 0.
+    # [n], point i the bit i - 1, and the rows come in runs (key, rows) of
+    # one key (forest, root): the nesting trees.Forest and, for one tree (an
+    # irreducible partition), the size of its root block, column 0, else 0.
     #
     # NC(n) is Irr(k) beside NC(n - k), k = 1..n, where Irr holds the
     # irreducible partitions (first and last point in the root block), and
     # Irr(n) is Irr(k) whose root takes point n over NC(n - 1 - k) in
     # between.  Each pair of cached runs is composed once, the pairs that
-    # meet in one shape and forest make one run, and a shape's runs are
-    # tiled into one set of columns.
+    # meet in one shape and key make one run, and a shape's runs are tiled
+    # into one set of columns.
     partitions._check_enum_n(n)
     code = _code(1 << n)
-    states, omegas = {}, {}
+    states, joined = {}, {}
     if n == 1:  # the one block {1}
-        leaf = _Forest(1, 1, trees.omega(trees.RootedTree()))
-        states[(1,), (), 1] = leaf, [((1, [array(code, [1])]), (1, []))]
+        states[(1,), trees.Forest([trees.RootedTree()]), 1] = [((1, [array(code, [1])]), (1, []))]
     for k in range(1, n):
         beside, below = _runs(n - k, code, k), _runs(n - 1 - k, code, k)
-        for shape, key, forest, a, columns in _runs(k, code, 0, True):
-            for shape2, key2, forest2, b, columns2 in beside:  # Irr(k), NC(n - k)
-                new = tuple(sorted(shape + shape2)), tuple(sorted(_trees(key) + _trees(key2))), 0
-                if new not in states:
-                    nb, ff = forest.nb + forest2.nb, forest.ff * forest2.ff
-                    states[new] = _Forest(nb, ff, None), []
-                states[new][1].append(((a, columns), (b, columns2)))
-            kids, root = key  # the root takes point n, over NC(n - 1 - k)
+        for shape, (forest, root), a, columns in _runs(k, code, 0, True):
+            for shape2, (forest2, _), b, columns2 in beside:  # Irr(k), NC(n - k)
+                new = tuple(sorted(shape + shape2)), _joined(joined, forest, forest2, False), 0
+                states.setdefault(new, []).append(((a, columns), (b, columns2)))
             shape = shape[: shape.index(root)] + (root + 1,) + shape[shape.index(root) + 1 :]
             left = a, [array(code, map((1 << n - 1).__or__, columns[0])), *columns[1:]]
-            for shape2, key2, forest2, b, columns2 in below:
-                children = tuple(sorted(kids + _trees(key2)))
-                new = tuple(sorted(shape + shape2)), children, root + 1
-                if new not in states:
-                    if children not in omegas:  # one tree over these children
-                        omegas[children] = trees.omega(trees.parse_tree(f"[{''.join(children)}]"))
-                    nb = forest.nb + forest2.nb
-                    ff = nb * forest.ff // forest.nb * forest2.ff
-                    states[new] = _Forest(nb, ff, omegas[children]), []
-                states[new][1].append((left, (b, columns2)))
+            for shape2, (forest2, _), b, columns2 in below:  # the root takes point n over these
+                new = tuple(sorted(shape + shape2)), _joined(joined, forest, forest2, True), root + 1
+                states.setdefault(new, []).append((left, (b, columns2)))
     shapes = {}
-    for (shape, kids, root), (forest, pairs) in states.items():
+    for (shape, forest, root), pairs in states.items():
         runs, tiles = shapes.setdefault(shape, ([], []))
-        runs.append(((kids, root), forest, sum(a * b for (a, _), (b, _) in pairs)))
+        runs.append(((forest, root), sum(a * b for (a, _), (b, _) in pairs)))
         tiles += pairs
     return tuple(
         (shape, _tiled(code, len(shape), tiles), tuple(runs))
@@ -163,24 +141,27 @@ def _nc_terms(n):
     )
 
 
-def _trees(key):
-    # the bracket encodings of the trees of the forest with this key
-    kids, root = key
-    return ("[" + "".join(kids) + "]",) if root else kids
+def _joined(joined, forest, forest2, under):
+    # forest2's trees beside forest's one tree, or under its root, built once per order
+    key = forest.encoding, forest2.encoding, under
+    if key not in joined:
+        new = (forest.trees[0].children if under else forest.trees) + forest2.trees
+        joined[key] = trees.Forest([trees.RootedTree(new)] if under else new)
+    return joined[key]
 
 
 def _runs(k, code, shift=0, roots=False):
-    # the runs of _nc_terms(k) as (shape, key, forest, rows, columns), each
-    # block as its bitmask moved `shift` points right; with roots, only the
-    # runs of one tree.  The partition of no points is one row of no blocks.
+    # the runs of _nc_terms(k) as (shape, key, rows, columns), each block as
+    # its bitmask moved `shift` points right; with roots, only the runs of
+    # one tree.  The partition of no points is one row of no blocks.
     if not k:
-        return [((), ((), 0), _Forest(0, 1, None), 1, [])]
+        return [((), (trees.Forest(), 0), 1, [])]
     out = []
     for shape, columns, runs in _nc_terms(k):
-        for (key, forest, rows), end in zip(runs, accumulate(run[2] for run in runs)):
+        for (key, rows), end in zip(runs, accumulate(rows for _, rows in runs)):
             if not roots or key[1]:
                 run = [array(code, map(shift.__rlshift__, c[end - rows : end])) for c in columns]
-                out.append((shape, key, forest, rows, run))
+                out.append((shape, key, rows, run))
     return out
 
 
@@ -232,14 +213,17 @@ def _kept(direction):
 
 def _coefficient(direction, forest):
     # the coefficient in the sum of `direction` of a row with this nesting
-    # forest, or None for a reducible row of a cumulant-to-cumulant sum,
+    # trees.Forest, from its block count, forest factorial and, for one
+    # tree, omega; None for a reducible row of a cumulant-to-cumulant sum,
     # which does not enter it.  A sign dual -f(-c) has (-1)^(nb - 1) times
     # the kept sum's coefficient: each of the nb blocks reads -c.
-    if forest.om is None and direction[1] != "moment":
+    one = len(forest.trees) == 1
+    if not one and direction[1] != "moment":
         return None
     kept, dual = _kept(direction)
-    c = Fraction(_COEFF[kept](*forest))
-    return (-1) ** (forest.nb - 1) * c if dual else c
+    nb, om = forest.size, trees.omega(forest.trees[0]) if one else None
+    c = Fraction(_COEFF[kept](nb, trees.forest_factorial(forest), om))
+    return (-1) ** (nb - 1) * c if dual else c
 
 
 def _code(count):
@@ -264,13 +248,13 @@ def _terms(direction, n):
     # products read the gathered values nearly in order (5% faster at order
     # 11 than by bitmask).
     table = _nc_terms(n)
-    cs = [[_coefficient(direction, forest) for _, forest, _ in runs] for _, _, runs in table]
+    cs = [[_coefficient(direction, forest) for (forest, _), _ in runs] for _, _, runs in table]
     den = lcm(*(c.denominator for c in chain.from_iterable(cs) if c))
     shapes = []
     for (shape, columns, runs), coeffs in zip(table, cs):
         keep = [
             (slice(end - rows, end), c.numerator * (den // c.denominator), rows)
-            for (_, _, rows), end, c in zip(runs, accumulate(run[2] for run in runs), coeffs)
+            for (_, rows), end, c in zip(runs, accumulate(rows for _, rows in runs), coeffs)
             if c
         ]
         if keep:
@@ -474,9 +458,7 @@ def monotone_from_boolean(beta):
 
 def _require_cumulant_kind(kind):
     if kind not in CUMULANT_KINDS:
-        raise ValueError(
-            f"kind must be one of {CUMULANT_KINDS}, got {kind!r}"
-        )
+        raise ValueError(f"kind must be one of {CUMULANT_KINDS}, got {kind!r}")
 
 
 def moments_from(kind, c):
@@ -548,8 +530,5 @@ def expansion_terms(from_kind, to_kind, n):
     keys = [partitions._parents(p.blocks) for p in every]
     for p, key in zip(every, keys):
         if key not in coeffs:
-            f = partitions.nesting_forest(p)
-            om = trees.omega(f.trees[0]) if len(f.trees) == 1 else None
-            forest = _Forest(f.size, trees.forest_factorial(f), om)
-            coeffs[key] = _coefficient((from_kind, to_kind), forest)
+            coeffs[key] = _coefficient((from_kind, to_kind), partitions.nesting_forest(p))
     return [(p, coeffs[key]) for p, key in zip(every, keys)]

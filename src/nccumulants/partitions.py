@@ -40,7 +40,7 @@ def _max_enum_n():
 
 def _check_enum_n(n):
     bound = _max_enum_n()
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("ground-set size must be a positive integer")
     if n > bound:
         raise ValueError(
@@ -174,7 +174,7 @@ def _validate_blocks(blocks):
         if not b:
             raise ValueError("empty block")
         for x in b:
-            if not isinstance(x, int) or x < 1:
+            if isinstance(x, bool) or not isinstance(x, int) or x < 1:
                 raise ValueError(f"block elements must be positive integers: {x!r}")
             if x in seen:
                 raise ValueError(f"duplicate element {x}")

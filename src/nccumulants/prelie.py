@@ -179,8 +179,12 @@ class Functional:
             raise ValueError(f"alphabet must be a list of letters, got {alphabet!r}")
         if not isinstance(raw, dict):
             raise ValueError("values must be an object mapping words to values")
-        values = {word_from_text(k): _value_from_json(v) for k, v in raw.items()}
-        return cls(alphabet, max_order, values)
+        keys = {}  # the first key spelling each word: a second one is refused
+        for k in raw:
+            first = keys.setdefault(word_from_text(k), k)
+            if first != k:
+                raise ValueError(f"keys {first!r} and {k!r} name the same word")
+        return cls(alphabet, max_order, {w: _value_from_json(raw[k]) for w, k in keys.items()})
 
     def __eq__(self, other):
         # rows in lowest terms are equal exactly when the values are
@@ -219,7 +223,10 @@ def _exact(v):
     # store its binary expansion, or read True and False as 1 and 0
     if isinstance(v, (float, bool)):
         raise ValueError(f"value {v!r} is a {type(v).__name__}, not an exact rational")
-    return Fraction(v)
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"value {v!r} has a zero denominator") from None
 
 
 _RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
@@ -227,14 +234,9 @@ _RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(/\d+)?\s*")
 
 def _value_from_json(v):
     # only integers and "p/q" strings are exact; a JSON float or a bool is not
-    # a rational value and is refused rather than converted
-    if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
-    if isinstance(v, str) and _RATIONAL_TEXT.fullmatch(v):
-        try:
-            return Fraction(v)
-        except ZeroDivisionError:
-            raise ValueError(f"value {v!r} has a zero denominator") from None
+    # a rational value and is refused rather than converted (by _exact)
+    if isinstance(v, int) or isinstance(v, str) and _RATIONAL_TEXT.fullmatch(v):
+        return _exact(v)
     raise ValueError(f'value {v!r} is neither an integer nor a "p/q" string')
 
 

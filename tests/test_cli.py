@@ -399,9 +399,30 @@ class TestHostileEnvelope:
         ],
     )
     def test_refused(self, tmp_path, functional):
+        self._refused(tmp_path, json.dumps({"kind": "free", "functional": functional}))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "free", "functional": {"alphabet": ["a", "b"], "max_order": 2,'
+            ' "values": {"a,b": "1", "a, b": "5", " a ,b": "7"}}}',
+            '{"kind": "moment", "kind": "free",'
+            ' "functional": {"alphabet": ["a"], "max_order": 2}}',
+            '{"kind": "free", "functional": {"alphabet": ["a"], "max_order": 2,'
+            ' "values": {"a": "1", "a": "2"}}}',
+        ],
+        ids=["three-spellings", "repeated-kind", "repeated-word"],
+    )
+    def test_ambiguous_refused(self, tmp_path, text):
+        # an envelope that gives one word or one field two values is
+        # refused, rather than read with the last of them
+        self._refused(tmp_path, text)
+
+    @staticmethod
+    def _refused(tmp_path, text):
         in_path = tmp_path / "in.json"
         out_path = tmp_path / "out.json"
-        in_path.write_text(json.dumps({"kind": "free", "functional": functional}))
+        in_path.write_text(text)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(SRC), env.get("PYTHONPATH")) if p

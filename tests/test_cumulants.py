@@ -45,13 +45,13 @@ def _points(mask, n):
 
 def _table_rows(n):
     # every row of the order-n table read back from its bitmask columns, as
-    # (partition, shape, key, forest, row of block bitmasks), the key and
-    # the _Forest record those of the row's run; NCPartition checks that the
-    # decoded blocks are a non-crossing partition
+    # (partition, shape, (forest, root), row of block bitmasks), the key
+    # that of the row's run; NCPartition checks that the decoded blocks are
+    # a non-crossing partition
     for shape, columns, runs in cumulants._nc_terms(n):
-        owners = [(key, forest) for key, forest, rows in runs for _ in range(rows)]
-        for row, (key, forest) in zip(zip(*columns), owners, strict=True):
-            yield partitions.NCPartition([_points(b, n) for b in row]), shape, key, forest, row
+        owners = [key for key, rows in runs for _ in range(rows)]
+        for row, key in zip(zip(*columns), owners, strict=True):
+            yield partitions.NCPartition([_points(b, n) for b in row]), shape, key, row
 
 
 # a conversion whose legs into moments are the closed sum over NC(n)
@@ -417,7 +417,7 @@ class TestExpansionTerms:
         # coefficient; a reducible row enters no sum between cumulants
         for n in range(1, 8):
             expected = Counter()
-            for p, _, _, forest, _ in _table_rows(n):
+            for p, _, (forest, _), _ in _table_rows(n):
                 coeff = cumulants._coefficient(direction, forest)
                 if coeff is not None:
                     expected[p.text(), coeff] += 1
@@ -497,68 +497,49 @@ class TestCachedTerms:
     # enumerate_nc and with partitions.nesting_forest, which reads each
     # partition's parent array, so the two routes share no code
 
-    def test_forest_factorials_match_tree_route(self):
+    def test_every_partition_is_one_row(self):
         # every non-crossing partition is one row, exactly once, of its own
-        # shape, with its block count and the factorial of the nesting
-        # forest read off its parent array
+        # shape, in a run whose forest has one vertex per block
         for n in range(1, 11):
             seen = Counter()
-            for p, shape, _, forest, _ in _table_rows(n):
+            for p, shape, (forest, _), _ in _table_rows(n):
                 seen[p] += 1
                 assert shape == tuple(sorted(map(len, p.blocks))), p.text()
-                assert forest.nb == p.num_blocks, p.text()
-                ff = trees.forest_factorial(partitions.nesting_forest(p))
-                assert forest.ff == ff, p.text()
+                assert forest.size == p.num_blocks, p.text()
             assert seen == Counter(partitions.enumerate_nc(n)), n
             assert set(seen.values()) == {1}, n
 
     def test_omega_matches_recursive_oracle(self):
-        # the table's omega against the Bernoulli recursion over block subsets
+        # the omega of each irreducible run's tree against the Bernoulli
+        # recursion over block subsets; a reducible run's forest has more
+        # than one tree, so it has no omega
         for n in range(1, 9):
-            for p, _, _, forest, _ in _table_rows(n):
+            for p, _, (forest, root), _ in _table_rows(n):
                 if p.is_irreducible():
-                    assert forest.om == oracle.omega_recursive(p), p.text()
+                    assert trees.omega(forest.trees[0]) == oracle.omega_recursive(p), p.text()
                 else:
-                    assert forest.om is None, p.text()
+                    assert len(forest.trees) > 1 and root == 0, p.text()
 
-    def test_omega_matches_nesting_tree(self):
-        for n in range(1, 11):
-            for p, _, _, forest, _ in _table_rows(n):
-                if forest.om is not None:
-                    tree = partitions.nesting_forest(p).trees[0]
-                    assert forest.om == trees.omega(tree), p.text()
-
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_composed_forests_match_nesting_forest(self, n):
-        # the forests that the closed-sum tables compose, read back as each
-        # row's key, against the ones read off each partition's parent
-        # array; a key is the sorted encodings of the forest's trees, or of
-        # one tree's children with the size of its root block
-        for p, _, (encodings, root), _, _ in _table_rows(n):
-            text = "".join(encodings)
-            if root:
-                text = f"[{text}]"
-                assert root == len(p.blocks[0]) and p.is_irreducible(), p.text()
-            assert trees.parse_forest(text) == partitions.nesting_forest(p), p.text()
+        # the forests that the closed-sum tables compose, read as each row's
+        # run key, against the ones read off each partition's parent array:
+        # the same trees.Forest, and the size of the root block, column 0,
+        # for an irreducible partition, 0 otherwise
+        for p, _, (forest, root), row in _table_rows(n):
+            assert forest == partitions.nesting_forest(p), p.text()
+            if p.is_irreducible():
+                assert root == len(p.blocks[0]), p.text()
+                assert _points(row[0], n) == list(p.blocks[0]), p.text()
+            else:
+                assert root == 0, p.text()
 
-    def test_rows_share_one_record_per_forest(self):
-        # no two runs of an order share (shape, key); the rows of one key
-        # must have one nesting forest and, if irreducible, one root block
-        # size (the composition extends the root, its column 0), and its
-        # runs carry equal _Forest records; distinct keys must differ in
-        # the nesting forest or the root size
+    def test_one_run_per_shape_and_key(self):
+        # the composition merges every pair of runs that meet in one shape,
+        # forest and root size, so no two runs of an order share them
         for n in range(1, 10):
-            runs = [(shape, key) for shape, _, rs in cumulants._nc_terms(n) for key, _, _ in rs]
+            runs = [(shape, key) for shape, _, rs in cumulants._nc_terms(n) for key, _ in rs]
             assert len(set(runs)) == len(runs), n
-            forest_of, record = {}, {}
-            for p, _, key, forest, row in _table_rows(n):
-                root = len(p.blocks[0]) if p.is_irreducible() else 0
-                if root:
-                    assert _points(row[0], n) == list(p.blocks[0]), p.text()
-                nesting = partitions.nesting_forest(p)
-                assert forest_of.setdefault(key, (nesting, root)) == (nesting, root), p.text()
-                assert record.setdefault(key, forest) == forest, p.text()
-            assert len(set(forest_of.values())) == len(forest_of), n
 
     @staticmethod
     def _fresh_caches(monkeypatch):
@@ -568,6 +549,7 @@ class TestCachedTerms:
             (cumulants, "_nc_terms"),
             (cumulants, "_terms"),
             (trees, "omega"),
+            (trees, "tree_factorial"),
         ):
             original = getattr(owner, name).__wrapped__
             monkeypatch.setattr(owner, name, lru_cache(maxsize=None)(original))
@@ -645,7 +627,8 @@ class TestCachedTerms:
 
     def test_cache_sizes(self, monkeypatch):
         # what the table caches keep after a conversion at order 11: one
-        # entry per order and one omega per distinct nesting tree.  The
+        # entry per order, and one omega and one tree factorial per
+        # distinct nesting tree that the kept sum reads.  The
         # tables are composed without enumerating and the forests keyed
         # per build, so no other memo cache is touched.
         self._fresh_caches(monkeypatch)
@@ -663,10 +646,12 @@ class TestCachedTerms:
             "nccumulants.cumulants._terms",
             "nccumulants.trees.omega",
             "nccumulants.trees._strict_counts",
+            "nccumulants.trees.tree_factorial",
         }
         assert cumulants._nc_terms.cache_info().currsize == 11
         assert cumulants._terms.cache_info().currsize == 11
         assert trees.omega.cache_info().currsize == 112
+        assert trees.tree_factorial.cache_info().currsize == 112
 
     def test_show_order_builds_each_table_once(self, monkeypatch, tmp_path):
         # the conversion composes each order's rows once, and --show-order

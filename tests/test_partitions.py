@@ -2,7 +2,7 @@ from math import comb, factorial
 
 import pytest
 
-from nccumulants import oracle, partitions, trees
+from nccumulants import cumulants, oracle, partitions, trees
 from nccumulants.partitions import (
     BlockSubset,
     MonotonePartition,
@@ -50,6 +50,9 @@ class TestConstruction:
             NCPartition([[0, 1]])
         with pytest.raises(ValueError):
             NCPartition([[]])
+        # a bool is an int to Python, but not a point
+        with pytest.raises(ValueError, match="positive integers"):
+            NCPartition([[True]])
 
     def test_empty_partition(self):
         p = NCPartition([])
@@ -128,6 +131,17 @@ class TestEnumeration:
             enumerate_nc(0)
         with pytest.raises(ValueError):
             enumerate_nc(13)
+
+    def test_bool_size_refused(self):
+        # True is not the ground-set size 1, here or in an expansion
+        for call in (
+            lambda: partitions._check_enum_n(True),
+            lambda: enumerate_nc(True),
+            lambda: enumerate_nc_irr(True),
+            lambda: cumulants.expansion_terms("free", "monotone", True),
+        ):
+            with pytest.raises(ValueError, match="positive integer"):
+                call()
 
     def test_env_bound_override(self, monkeypatch):
         monkeypatch.setenv("NC_CUMULANTS_MAX_N", "5")

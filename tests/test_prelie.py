@@ -145,6 +145,21 @@ class TestFunctional:
         f = Functional(AB, 2, {("a",): 1})
         assert set(f.to_json()["values"]) == {"a"}
 
+    def test_zero_denominator_refused(self):
+        # a ValueError, as from JSON, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="zero denominator"):
+            Functional(("a",), 2).scale("1/0")
+        with pytest.raises(ValueError, match="zero denominator"):
+            Functional(("a",), 2, {("a",): "1/0"})
+
+    def test_json_keys_naming_one_word_refused(self):
+        # the spellings of one word are not merged, nor is one of them kept
+        values = {"a,b": "1", "a, b": "5", " a ,b": "7"}
+        with pytest.raises(ValueError, match="'a,b' and 'a, b' name the same word"):
+            Functional.from_json({"alphabet": ["a", "b"], "max_order": 2, "values": values})
+        one = {"alphabet": ["a", "b"], "max_order": 2, "values": {" a ,b": "7"}}
+        assert Functional.from_json(one).value(("a", "b")) == 7
+
     def test_json_validation(self):
         with pytest.raises(ValueError):
             Functional.from_json({"alphabet": ["a"], "max_order": 2, "values": {"a,a,a": "1"}})
